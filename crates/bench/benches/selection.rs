@@ -22,20 +22,19 @@ fn bench_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("selection");
     group.sample_size(20);
     // The two local-search variants are benched under distinct ids: the
-    // untracked one times the pure discrete flip search (comparable to
-    // pre-delta numbers), the default additionally pays the per-flip
-    // reground + warm-ADMM relaxation mirror.
+    // default is the pure discrete flip search, the opt-in `+relax` one
+    // additionally pays the per-climb reground + warm-ADMM relaxation.
     let selectors: Vec<(&str, Box<dyn Selector>)> = vec![
         ("independent", Box::new(IndependentBaseline)),
         ("greedy", Box::new(Greedy)),
+        ("local-search", Box::new(LocalSearch::default())),
         (
-            "local-search",
+            "local-search+relax",
             Box::new(LocalSearch {
-                track_relaxation: false,
+                track_relaxation: true,
                 ..LocalSearch::default()
             }),
         ),
-        ("local-search+relax", Box::new(LocalSearch::default())),
         ("branch-bound", Box::new(BranchBound::default())),
         ("psl-collective", Box::new(PslCollective::default())),
     ];

@@ -9,8 +9,8 @@
 //! ```
 //!
 //! The workload is the telemetry pipeline end to end: scenario
-//! generation (chase), local-search selection through the warm
-//! relaxation (ground → reground → warm solve per flip). The run is
+//! generation (chase), local-search selection opted into the warm
+//! relaxation (ground → reground → warm solve per climb). The run is
 //! forced to `CMS_OBS=journal` in-process so spans and events are
 //! captured regardless of the environment; the `CMS_OBS_RING` capacity
 //! knob applies as usual.
@@ -110,9 +110,13 @@ fn run() -> Result<(), String> {
     if args.stall {
         cms_psl::fault::arm(cms_psl::Fault::SolverStall);
     }
+    let local_search = LocalSearch {
+        track_relaxation: true,
+        ..LocalSearch::default()
+    };
     let outcome = evaluate_scenario(
         &scenarios[0],
-        &LocalSearch::default(),
+        &local_search,
         &ObjectiveWeights::unweighted(),
     )
     .map_err(|e| format!("pipeline failed: {e}"))?;

@@ -1,5 +1,5 @@
 //! Minimal aligned-markdown table writer (no external deps; experiment
-//! output must be diffable and paste-able into EXPERIMENTS.md).
+//! output must be diffable and paste-able into markdown).
 
 /// A simple table: headers plus string rows.
 #[derive(Clone, Debug, Default)]

@@ -10,8 +10,7 @@
 //!    existentials for the rest;
 //! 3. deduplicate structurally.
 //!
-//! This replaces the Clio system the paper uses as its candidate generator
-//! (see DESIGN.md §5).
+//! This replaces the Clio system the paper uses as its candidate generator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,7 +6,8 @@
 //! with range parameters (2,4), source-instance generation, data exchange
 //! with the gold mapping, Clio-style candidate generation over true +
 //! spurious correspondences, and the three noise knobs πCorresp, πErrors,
-//! πUnexplained. See DESIGN.md §5 for the substitution rationale.
+//! πUnexplained. iBench itself is a Java tool, so the generator is
+//! rebuilt here rather than driven as an external process.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -180,7 +180,7 @@ pub enum Event {
     },
     /// One degradation-ladder rung fired.
     Degradation(DegradationRung),
-    /// One injected fault observed (from the `cms-fault` harness).
+    /// One injected fault observed (from the `cms_psl::fault` harness).
     Fault {
         /// Fault label, e.g. `poison-duals`.
         fault: String,

@@ -10,7 +10,7 @@
 //! The paper's collective mapping-selection model is expressed on top of
 //! this crate by `cms-select`; nothing in here is specific to schema
 //! mapping. No PSL or Markov-logic crate exists in the ecosystem, so this
-//! engine is implemented from scratch (see DESIGN.md §3).
+//! engine is implemented from scratch.
 //!
 //! ```
 //! use cms_psl::{Vocabulary, Program, GroundAtom, RuleBuilder, rvar, AdmmConfig};

@@ -5,8 +5,8 @@
 //! the weight space: given training scenarios whose gold mapping is known,
 //! pick the `(w1, w2, w3)` whose selections score best. `F` is invariant
 //! under uniform scaling of the weights, so the grid fixes `w1 = 1` and
-//! explores `(w2, w3)` on a log grid (DESIGN.md §5 records this
-//! substitution: grid search in place of PSL's margin-based learners).
+//! explores `(w2, w3)` on a log grid — grid search in place of PSL's
+//! margin-based learners.
 
 use crate::objective::ObjectiveWeights;
 use crate::pipeline::evaluate_scenario;

@@ -41,7 +41,7 @@
 //! 2. **warm consensus** — a reground rejected by the delta guard
 //!    ([`cms_psl::RegroundError`]) or failing mid-splice falls back to a
 //!    fresh [`Program::ground`] (counted in
-//!    [`WarmRelaxation::fallback_fresh_grounds`]);
+//!    [`SelectionTelemetry::fallback_fresh_grounds`]);
 //! 3. **cold solve** — a solve whose [`cms_psl::SolveHealth`] is not
 //!    nominal (stalled/diverged after the solver's own restart policy) is
 //!    redone cold on the same ground program;
@@ -50,19 +50,17 @@
 //!
 //! A [`cms_psl::SolveHealth::TimedOut`] solve is *not* escalated: the time
 //! budget is a wall-clock promise, and a cold retry would break it. The
-//! ladder records every rung taken — as typed
-//! [`cms_obs::DegradationRung`] values in
-//! [`WarmRelaxation::last_degradations`] / [`WarmRelaxation::degradations`]
-//! (each one also emitted to the telemetry journal as a
-//! [`cms_obs::Event::Degradation`]), with the counters
-//! (`fallback_fresh_grounds`, `solver_restarts`, `duals_dropped`,
-//! `cold_solves`) and the rendered [`WarmRelaxation::last_degradation`]
-//! string kept alongside — and mirrors the pipeline totals into a
-//! synthetic `"self-healing"` entry of the ground program's `rule_stats`.
+//! ladder records every rung taken as a typed [`cms_obs::DegradationRung`]
+//! — in [`WarmRelaxation::last_degradations`] for the last move and in
+//! [`WarmRelaxation::telemetry`] for the lifetime, each one also emitted to
+//! the telemetry journal as a [`cms_obs::Event::Degradation`] — counts it
+//! there (`fallback_fresh_grounds`, `solver_restarts`, `duals_dropped`,
+//! `cold_solves`), and mirrors the pipeline totals into a synthetic
+//! `"self-healing"` entry of the ground program's `rule_stats`.
 
 use crate::coverage::CoverageModel;
 use crate::objective::ObjectiveWeights;
-use crate::selectors::SelectError;
+use crate::selectors::{SelectError, SelectionTelemetry};
 use cms_psl::{
     AdmmConfig, AtomLin, ConstraintKind, DualState, GroundAtom, GroundProgram, PredId, Program,
     RuleBuilder, SolveHealth, Vocabulary,
@@ -187,48 +185,13 @@ pub struct WarmRelaxation {
     values: Vec<f64>,
     duals: Option<DualState>,
     soft_objective: f64,
-    /// Flips (raw value mutations, before coalescing) applied so far.
-    pub flips: usize,
-    /// Cumulative raw delta entries the drain coalesced away before the
-    /// regrounder saw them (cancelling flip pairs, folded flip chains).
-    pub entries_coalesced: usize,
-    /// Cumulative batch entries deduplicated into reground work an earlier
-    /// entry of the same batch had already scheduled.
-    pub sources_deduped: usize,
-    /// Cumulative ground terms spliced unchanged across regrounds.
-    pub terms_reused: usize,
-    /// Cumulative groundings recomputed across regrounds.
-    pub terms_recomputed: usize,
-    /// Cumulative arithmetic-rule free bindings spliced without re-folding
-    /// their summations (0 when the program has no arithmetic rules).
-    pub arith_bindings_spliced: usize,
-    /// Cumulative warm-started ADMM iterations.
-    pub admm_iterations: usize,
-    /// Cumulative terms whose scaled duals were carried across a reground
-    /// (each one seeds the next solve instead of starting cold).
-    pub dual_terms_carried: usize,
-    /// Times the ladder abandoned the incremental path and rebuilt the
-    /// ground program from scratch (rungs 2 and 4 of the module docs).
-    pub fallback_fresh_grounds: usize,
-    /// Cumulative ADMM watchdog restarts across all solves.
-    pub solver_restarts: usize,
-    /// Carried dual states dropped because they contained non-finite
-    /// values (rung 1).
-    pub duals_dropped: usize,
-    /// Unhealthy warm solves redone cold on the same ground program
-    /// (rung 3).
-    pub cold_solves: usize,
-    /// Health of the most recent solve.
-    pub last_health: SolveHealth,
-    /// Human-readable reason for the most recent degradation, if any rung
-    /// beyond the nominal warm path fired on the last [`WarmRelaxation::set`].
-    /// Rendered from [`WarmRelaxation::last_degradations`].
-    pub last_degradation: Option<String>,
+    /// Cumulative counters over the relaxation's lifetime: flips, splice
+    /// reuse, ADMM iterations, ladder rungs, and the last solve's health.
+    /// `soft_objective` and the collective-only fields stay `None`.
+    pub telemetry: SelectionTelemetry,
     /// Typed rungs taken on the last [`WarmRelaxation::set`] /
     /// [`WarmRelaxation::set_selection`] (several can fire on one flip).
     pub last_degradations: Vec<cms_obs::DegradationRung>,
-    /// Every rung taken over the relaxation's lifetime, in order.
-    pub degradations: Vec<cms_obs::DegradationRung>,
 }
 
 impl WarmRelaxation {
@@ -258,24 +221,15 @@ impl WarmRelaxation {
             values: solution.admm.values.clone(),
             duals: Some(duals),
             soft_objective: solution.total_objective(),
-            admm_iterations: solution.admm.iterations,
-            last_health: solution.admm.health,
-            solver_restarts: solution.admm.restarts,
+            telemetry: SelectionTelemetry {
+                admm_iterations: solution.admm.iterations,
+                solver_restarts: solution.admm.restarts,
+                last_health: Some(solution.admm.health),
+                ..SelectionTelemetry::default()
+            },
             ground,
             admm,
-            flips: 0,
-            entries_coalesced: 0,
-            sources_deduped: 0,
-            terms_reused: 0,
-            terms_recomputed: 0,
-            arith_bindings_spliced: 0,
-            dual_terms_carried: 0,
-            fallback_fresh_grounds: 0,
-            duals_dropped: 0,
-            cold_solves: 0,
-            last_degradation: None,
             last_degradations: Vec::new(),
-            degradations: Vec::new(),
         })
     }
 
@@ -339,8 +293,7 @@ impl WarmRelaxation {
         if delta.is_empty() {
             return Ok(self.soft_objective);
         }
-        self.flips += delta.raw_entries();
-        self.last_degradation = None;
+        self.telemetry.flips += delta.raw_entries();
         self.last_degradations.clear();
         let prior = std::mem::take(&mut self.ground);
         let mut incremental = true;
@@ -353,17 +306,18 @@ impl WarmRelaxation {
                 self.degrade(cms_obs::DegradationRung::FreshGround {
                     reason: err.to_string(),
                 });
-                self.fallback_fresh_grounds += 1;
+                self.telemetry.fallback_fresh_grounds += 1;
                 incremental = false;
                 self.program.ground()?
             }
         };
         let stats = self.ground.total_stats();
-        self.terms_reused += stats.terms_reused;
-        self.terms_recomputed += stats.terms_recomputed;
-        self.arith_bindings_spliced += stats.arith_bindings_spliced;
-        self.entries_coalesced += stats.entries_coalesced;
-        self.sources_deduped += stats.sources_deduped;
+        let t = &mut self.telemetry;
+        t.terms_reused += stats.terms_reused;
+        t.terms_recomputed += stats.terms_recomputed;
+        t.arith_bindings_spliced += stats.arith_bindings_spliced;
+        t.entries_coalesced += stats.entries_coalesced;
+        t.sources_deduped += stats.sources_deduped;
         if incremental && delta.is_net_empty() {
             // The batch cancelled out entirely: the ground program, the
             // consensus values, and the carried duals all still describe
@@ -381,19 +335,19 @@ impl WarmRelaxation {
                 self.degrade(cms_obs::DegradationRung::DroppedNonFiniteDuals {
                     dropped: c.seeded_terms() as u64,
                 });
-                self.duals_dropped += 1;
+                self.telemetry.duals_dropped += 1;
                 None
             }
             other => other,
         };
         if let Some(c) = &carried {
-            self.dual_terms_carried += c.seeded_terms();
+            self.telemetry.dual_terms_carried += c.seeded_terms();
         }
         let (mut solution, mut duals) =
             self.ground
                 .solve_warm_dual(&self.admm, &self.values, carried.as_ref());
-        self.solver_restarts += solution.admm.restarts;
-        self.admm_iterations += solution.admm.iterations;
+        self.telemetry.solver_restarts += solution.admm.restarts;
+        self.telemetry.admm_iterations += solution.admm.iterations;
         // A timed-out solve is deliberately not escalated: the budget is a
         // wall-clock promise and every further rung would respend it.
         if !solution.admm.health.is_nominal() && solution.admm.health != SolveHealth::TimedOut {
@@ -402,23 +356,23 @@ impl WarmRelaxation {
             self.degrade(cms_obs::DegradationRung::ColdSolve {
                 health: solution.admm.health.to_string(),
             });
-            self.cold_solves += 1;
+            self.telemetry.cold_solves += 1;
             (solution, duals) = self.ground.solve_warm_dual(&self.admm, &[], None);
-            self.solver_restarts += solution.admm.restarts;
-            self.admm_iterations += solution.admm.iterations;
+            self.telemetry.solver_restarts += solution.admm.restarts;
+            self.telemetry.admm_iterations += solution.admm.iterations;
             if !solution.admm.health.is_nominal() && solution.admm.health != SolveHealth::TimedOut {
                 // Rung 4: distrust the spliced ground program entirely.
                 self.degrade(cms_obs::DegradationRung::FreshGroundColdSolve {
                     health: solution.admm.health.to_string(),
                 });
-                self.fallback_fresh_grounds += 1;
+                self.telemetry.fallback_fresh_grounds += 1;
                 self.ground = self.program.ground()?;
                 (solution, duals) = self.ground.solve_warm_dual(&self.admm, &[], None);
-                self.solver_restarts += solution.admm.restarts;
-                self.admm_iterations += solution.admm.iterations;
+                self.telemetry.solver_restarts += solution.admm.restarts;
+                self.telemetry.admm_iterations += solution.admm.iterations;
             }
         }
-        self.last_health = solution.admm.health;
+        self.telemetry.last_health = Some(solution.admm.health);
         self.record_pipeline_stats();
         self.duals = Some(duals);
         self.values.clone_from(&solution.admm.values);
@@ -426,10 +380,9 @@ impl WarmRelaxation {
         Ok(self.soft_objective)
     }
 
-    /// Record one ladder rung: push it onto the typed histories, emit a
-    /// [`cms_obs::Event::Degradation`] to the journal, and append the
-    /// rendered reason to [`WarmRelaxation::last_degradation`] (several
-    /// rungs can fire on a single flip).
+    /// Record one ladder rung: push it onto the typed histories and emit a
+    /// [`cms_obs::Event::Degradation`] to the journal (several rungs can
+    /// fire on a single flip).
     fn degrade(&mut self, rung: cms_obs::DegradationRung) {
         cms_obs::count("select.degradations", 1);
         cms_obs::emit(cms_obs::Event::Degradation(rung.clone()));
@@ -438,16 +391,8 @@ impl WarmRelaxation {
         // `CMS_OBS_DUMP` so the events leading up to the degradation
         // survive even if the process dies next.
         cms_obs::dump_on_degradation(rung.rung());
-        let reason = rung.render();
-        match &mut self.last_degradation {
-            Some(prev) => {
-                prev.push_str("; ");
-                prev.push_str(&reason);
-            }
-            None => self.last_degradation = Some(reason),
-        }
         self.last_degradations.push(rung.clone());
-        self.degradations.push(rung);
+        self.telemetry.degradations.push(rung);
     }
 
     /// Mirror the pipeline-level ladder counters into the ground program's
@@ -460,8 +405,8 @@ impl WarmRelaxation {
             .rule_stats
             .entry("self-healing".to_owned())
             .or_default();
-        entry.fallback_fresh_grounds = self.fallback_fresh_grounds;
-        entry.solver_restarts = self.solver_restarts;
+        entry.fallback_fresh_grounds = self.telemetry.fallback_fresh_grounds;
+        entry.solver_restarts = self.telemetry.solver_restarts;
     }
 }
 
@@ -515,9 +460,12 @@ mod tests {
                 "relaxation {soft} must lower-bound F {f} at {selection:?}"
             );
         }
-        assert!(warm.terms_reused > 0, "flips must splice ground terms");
-        assert!(warm.terms_recomputed > 0);
-        assert!(warm.flips >= 5);
+        assert!(
+            warm.telemetry.terms_reused > 0,
+            "flips must splice ground terms"
+        );
+        assert!(warm.telemetry.terms_recomputed > 0);
+        assert!(warm.telemetry.flips >= 5);
     }
 
     /// A batch of moves through `set_members` must land on the same soft
@@ -541,13 +489,13 @@ mod tests {
         );
         // The batch drains once: four raw flips, but candidate 0's
         // set+unset pair coalesces away before the reground.
-        assert_eq!(batched.flips, 4);
-        assert_eq!(batched.entries_coalesced, 2);
+        assert_eq!(batched.telemetry.flips, 4);
+        assert_eq!(batched.telemetry.entries_coalesced, 2);
         assert!(
-            batched.admm_iterations < seq.admm_iterations,
+            batched.telemetry.admm_iterations < seq.telemetry.admm_iterations,
             "one warm solve ({}) must beat four ({})",
-            batched.admm_iterations,
-            seq.admm_iterations
+            batched.telemetry.admm_iterations,
+            seq.telemetry.admm_iterations
         );
     }
 
@@ -559,15 +507,15 @@ mod tests {
         let w = ObjectiveWeights::unweighted();
         let mut warm = WarmRelaxation::new(&model, &w, AdmmConfig::default()).unwrap();
         warm.set_selection(&[1]).unwrap();
-        let iters = warm.admm_iterations;
+        let iters = warm.telemetry.admm_iterations;
         let soft = warm.soft_objective();
         warm.set_members(&[(2, true), (2, false)]).unwrap();
         assert_eq!(
-            warm.admm_iterations, iters,
+            warm.telemetry.admm_iterations, iters,
             "net-empty batch must not solve"
         );
-        assert_eq!(warm.flips, 3, "raw flips are still counted");
-        assert_eq!(warm.entries_coalesced, 2);
+        assert_eq!(warm.telemetry.flips, 3, "raw flips are still counted");
+        assert_eq!(warm.telemetry.entries_coalesced, 2);
         assert!((warm.soft_objective() - soft).abs() == 0.0);
         // The relaxation stays live: a real move still works after it.
         let after = warm.set(2, true).unwrap();
@@ -583,10 +531,13 @@ mod tests {
         let w = ObjectiveWeights::unweighted();
         let mut warm = WarmRelaxation::new(&model, &w, AdmmConfig::default()).unwrap();
         warm.set_selection(&[1, 2]).unwrap();
-        let iters = warm.admm_iterations;
-        let flips = warm.flips;
+        let iters = warm.telemetry.admm_iterations;
+        let flips = warm.telemetry.flips;
         warm.set_selection(&[1, 2]).unwrap();
-        assert_eq!(warm.admm_iterations, iters, "no-op batch must not solve");
-        assert_eq!(warm.flips, flips);
+        assert_eq!(
+            warm.telemetry.admm_iterations, iters,
+            "no-op batch must not solve"
+        );
+        assert_eq!(warm.telemetry.flips, flips);
     }
 }

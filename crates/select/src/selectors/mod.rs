@@ -62,22 +62,26 @@ impl From<cms_psl::GroundingError> for SelectError {
 
 /// Structured diagnostics from a selector run.
 ///
-/// Selectors that drive the PSL relaxation populate the fields they
-/// track; purely combinatorial selectors leave the default. The legacy
-/// `note` string is rendered from this via
-/// [`render_note`](SelectionTelemetry::render_note), so tests and
-/// tables can read typed fields instead of parsing text.
-#[derive(Clone, Debug, Default)]
+/// The one declaration of the relaxation counters: [`WarmRelaxation`]
+/// accumulates into this struct directly, [`LocalSearch`] (when it opts
+/// into `track_relaxation`) reports it as is plus the soft objective, and
+/// [`PslCollective`] fills the solve fields. Purely combinatorial
+/// selectors leave the default.
+///
+/// [`WarmRelaxation`]: crate::WarmRelaxation
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct SelectionTelemetry {
     /// Final soft (relaxed) objective at the reported selection.
     pub soft_objective: Option<f64>,
-    /// Accepted flips mirrored through the warm relaxation.
+    /// Flips (raw value mutations, before coalescing) applied to the warm
+    /// relaxation.
     pub flips: usize,
     /// Ground terms spliced (reused byte-identically) across regrounds.
     pub terms_reused: usize,
     /// Ground terms recomputed across regrounds.
     pub terms_recomputed: usize,
-    /// Arithmetic free bindings spliced across regrounds.
+    /// Arithmetic free bindings spliced across regrounds without
+    /// re-folding their summations.
     pub arith_bindings_spliced: usize,
     /// Raw delta entries coalesced away before the regrounder saw them
     /// (cancelling flip pairs and folded flip chains inside one batch).
@@ -93,7 +97,7 @@ pub struct SelectionTelemetry {
     pub fallback_fresh_grounds: usize,
     /// ADMM restarts taken inside the solver's restart loop.
     pub solver_restarts: usize,
-    /// Carried dual terms dropped for non-finiteness (rung 1).
+    /// Carried dual states dropped for non-finiteness (rung 1).
     pub duals_dropped: usize,
     /// Warm solves escalated to a cold resolve (rung 3).
     pub cold_solves: usize,
@@ -107,68 +111,6 @@ pub struct SelectionTelemetry {
     pub ground_terms: Option<usize>,
 }
 
-impl SelectionTelemetry {
-    /// Render the legacy one-line `note` string for this telemetry.
-    ///
-    /// Reproduces the historical formats byte-for-byte: the collective
-    /// selector's `admm_iters=…` line when
-    /// [`converged`](SelectionTelemetry::converged) is set, the local-search
-    /// `relaxation: …` line when only
-    /// [`soft_objective`](SelectionTelemetry::soft_objective) is set,
-    /// and an empty string otherwise.
-    pub fn render_note(&self) -> String {
-        if let Some(converged) = self.converged {
-            let health = self
-                .last_health
-                .map(|h| h.to_string())
-                .unwrap_or_else(|| "unknown".to_owned());
-            return format!(
-                "admm_iters={} converged={} ground_terms={} soft_obj={:.3} health={} restarts={}",
-                self.admm_iterations,
-                converged,
-                self.ground_terms.unwrap_or(0),
-                self.soft_objective.unwrap_or(f64::NAN),
-                health,
-                self.solver_restarts,
-            );
-        }
-        let Some(soft) = self.soft_objective else {
-            return String::new();
-        };
-        let health = self
-            .last_health
-            .map(|h| h.to_string())
-            .unwrap_or_else(|| "unknown".to_owned());
-        let mut note = format!(
-            "relaxation: soft_obj={:.3} flips={} coalesced={} deduped={} terms_reused={} \
-             terms_recomputed={} arith_spliced={} warm_iters={} duals_carried={} \
-             fallback_grounds={} solver_restarts={} health={}",
-            soft,
-            self.flips,
-            self.entries_coalesced,
-            self.sources_deduped,
-            self.terms_reused,
-            self.terms_recomputed,
-            self.arith_bindings_spliced,
-            self.admm_iterations,
-            self.dual_terms_carried,
-            self.fallback_fresh_grounds,
-            self.solver_restarts,
-            health,
-        );
-        if !self.degradations.is_empty() {
-            let reason = self
-                .degradations
-                .iter()
-                .map(|r| r.render())
-                .collect::<Vec<_>>()
-                .join("; ");
-            note.push_str(&format!(" degraded=\"{reason}\""));
-        }
-        note
-    }
-}
-
 /// The result of running a selector.
 #[derive(Clone, Debug)]
 pub struct Selection {
@@ -178,8 +120,8 @@ pub struct Selection {
     pub objective: f64,
     /// Number of discrete objective evaluations (search effort proxy).
     pub evaluations: usize,
-    /// Selector-specific diagnostics (e.g. ADMM iterations), rendered
-    /// from [`Selection::telemetry`] for selectors that track it.
+    /// Empty unless [`BranchBound`] ran out of its node budget, in which
+    /// case it says so here and the selection is only a heuristic result.
     pub note: String,
     /// Structured diagnostics; default for purely combinatorial selectors.
     pub telemetry: SelectionTelemetry,
@@ -198,9 +140,8 @@ impl Selection {
         }
     }
 
-    /// Attach telemetry and render the legacy `note` from it.
+    /// Attach telemetry.
     pub(crate) fn with_telemetry(mut self, telemetry: SelectionTelemetry) -> Selection {
-        self.note = telemetry.render_note();
         self.telemetry = telemetry;
         self
     }

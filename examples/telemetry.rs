@@ -36,14 +36,14 @@ fn main() {
     // and the degradation event.
     cms::psl::fault::arm(cms::psl::Fault::PoisonDuals);
 
-    // Local search mirrors every accepted flip through the warm
-    // relaxation: one reground + one warm ADMM solve per move.
-    let outcome = evaluate_scenario(
-        &scenario,
-        &LocalSearch::default(),
-        &ObjectiveWeights::unweighted(),
-    )
-    .expect("pipeline runs");
+    // Local search opted into the warm relaxation: each climb's accepted
+    // flips become one reground + one warm ADMM solve.
+    let local_search = LocalSearch {
+        track_relaxation: true,
+        ..LocalSearch::default()
+    };
+    let outcome = evaluate_scenario(&scenario, &local_search, &ObjectiveWeights::unweighted())
+        .expect("pipeline runs");
     cms::psl::fault::disarm();
 
     println!(
@@ -53,7 +53,17 @@ fn main() {
         outcome.mapping.f1,
         outcome.selection.evaluations
     );
-    println!("note: {}", outcome.selection.note);
+    let t = &outcome.selection.telemetry;
+    println!(
+        "relaxation: soft objective {:.3}, {} flips, {} terms reused / {} recomputed, \
+         {} ADMM iterations, {} ladder rungs",
+        t.soft_objective.unwrap_or(f64::NAN),
+        t.flips,
+        t.terms_reused,
+        t.terms_recomputed,
+        t.admm_iterations,
+        t.degradations.len()
+    );
 
     // Metrics: what this run added to the process-wide registry.
     let diff = obs::registry().snapshot().diff(&before);

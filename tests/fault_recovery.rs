@@ -1,5 +1,5 @@
 //! Fault-injection recovery suite: every fault class in
-//! [`cms_fault::ALL_FAULTS`] is injected into a live incremental solve
+//! [`cms_psl::fault::ALL_FAULTS`] is injected into a live incremental solve
 //! pipeline ([`cms_select::WarmRelaxation`] driving delta regrounds and
 //! warm ADMM solves), and the suite asserts the full chain per class:
 //!
@@ -10,11 +10,11 @@
 //! 3. the pipeline **recovers**: every post-fault objective matches the
 //!    fault-free run of the identical flip sequence.
 //!
-//! The seeded scenario is driven by [`cms_fault::FaultPlan`]; CI runs it
+//! The seeded scenario is driven by [`cms_psl::fault::FaultPlan`]; CI runs it
 //! under `CMS_FAULT_SEED={1,2}` so the injection order varies across legs
 //! while staying reproducible.
 
-use cms_fault::{disarm, Fault, FaultPlan};
+use cms_psl::fault::{self, disarm, Fault, FaultPlan};
 use cms_psl::AdmmConfig;
 use cms_select::{
     build_reduction, CoverageModel, LocalSearch, ObjectiveWeights, Selector, SetCoverInstance,
@@ -74,18 +74,21 @@ fn run_with_fault_at(
     let mut w = warm(model);
     for (step, &(c, on)) in FLIPS.iter().enumerate() {
         if step == at {
-            cms_fault::arm(fault);
+            fault::arm(fault);
         }
         let soft = w.set(c, on).unwrap();
         assert_recovered(step, soft, reference, fault);
         if step == at {
             assert_eq!(
-                cms_fault::armed(),
+                fault::armed(),
                 None,
                 "{fault:?} was never consumed — the injection point did not fire"
             );
         } else {
-            assert_eq!(w.last_degradation, None, "{fault:?} leaked to step {step}");
+            assert!(
+                w.last_degradations.is_empty(),
+                "{fault:?} leaked to step {step}"
+            );
         }
         disarm();
     }
@@ -97,20 +100,38 @@ fn run_with_fault_at(
 fn assert_rung(fault: Fault, w: &WarmRelaxation) {
     match fault {
         Fault::PoisonDuals => {
-            assert_eq!(w.duals_dropped, 1, "poisoned duals must be dropped");
-            assert_eq!(w.fallback_fresh_grounds, 0, "no reground fallback needed");
+            assert_eq!(
+                w.telemetry.duals_dropped, 1,
+                "poisoned duals must be dropped"
+            );
+            assert_eq!(
+                w.telemetry.fallback_fresh_grounds, 0,
+                "no reground fallback needed"
+            );
         }
         Fault::DropDeltaEntry | Fault::DuplicateDeltaEntry => {
-            assert_eq!(w.fallback_fresh_grounds, 1, "tampered delta ⇒ fresh ground");
-            assert_eq!(w.duals_dropped, 0);
+            assert_eq!(
+                w.telemetry.fallback_fresh_grounds, 1,
+                "tampered delta ⇒ fresh ground"
+            );
+            assert_eq!(w.telemetry.duals_dropped, 0);
         }
         Fault::CorruptSpliceOrdinal | Fault::InvalidateIndex => {
-            assert_eq!(w.fallback_fresh_grounds, 1, "broken splice ⇒ fresh ground");
+            assert_eq!(
+                w.telemetry.fallback_fresh_grounds, 1,
+                "broken splice ⇒ fresh ground"
+            );
         }
         Fault::SolverStall => {
-            assert!(w.solver_restarts >= 1, "stall must trigger a restart");
-            assert_eq!(w.fallback_fresh_grounds, 0);
-            assert!(w.last_health.is_nominal(), "restart must recover");
+            assert!(
+                w.telemetry.solver_restarts >= 1,
+                "stall must trigger a restart"
+            );
+            assert_eq!(w.telemetry.fallback_fresh_grounds, 0);
+            assert!(
+                w.telemetry.last_health.is_some_and(|h| h.is_nominal()),
+                "restart must recover"
+            );
         }
     }
 }
@@ -119,7 +140,7 @@ fn assert_rung(fault: Fault, w: &WarmRelaxation) {
 fn every_fault_class_is_detected_and_recovered() {
     let model = model();
     let reference = fault_free_reference(&model);
-    for fault in cms_fault::ALL_FAULTS {
+    for fault in fault::ALL_FAULTS {
         // Inject at step 1 (a plain add with live prior state).
         let w = run_with_fault_at(&model, &reference, fault, 1);
         assert_rung(fault, &w);
@@ -130,7 +151,7 @@ fn every_fault_class_is_detected_and_recovered() {
 fn faults_on_a_retraction_step_recover_too() {
     let model = model();
     let reference = fault_free_reference(&model);
-    for fault in cms_fault::ALL_FAULTS {
+    for fault in fault::ALL_FAULTS {
         run_with_fault_at(&model, &reference, fault, 2);
     }
 }
@@ -148,20 +169,23 @@ fn tampered_coalesced_batches_are_detected_and_recovered() {
     disarm();
     let mut clean = warm(&model);
     let reference = clean.set_members(&BATCH).unwrap();
-    assert_eq!(clean.entries_coalesced, 2, "the batch must coalesce");
-    assert_eq!(clean.fallback_fresh_grounds, 0);
+    assert_eq!(
+        clean.telemetry.entries_coalesced, 2,
+        "the batch must coalesce"
+    );
+    assert_eq!(clean.telemetry.fallback_fresh_grounds, 0);
     for fault in [Fault::DropDeltaEntry, Fault::DuplicateDeltaEntry] {
         disarm();
         let mut w = warm(&model);
-        cms_fault::arm(fault);
+        fault::arm(fault);
         let soft = w.set_members(&BATCH).unwrap();
         assert_eq!(
-            cms_fault::armed(),
+            fault::armed(),
             None,
             "{fault:?} was never consumed on the batched drain"
         );
         assert_eq!(
-            w.fallback_fresh_grounds, 1,
+            w.telemetry.fallback_fresh_grounds, 1,
             "{fault:?}: tampered batch ⇒ fresh ground"
         );
         assert!(
@@ -178,7 +202,10 @@ fn tampered_coalesced_batches_are_detected_and_recovered() {
             (after - expect).abs() < 5e-3,
             "{fault:?}: post-recovery batch {after} vs {expect}"
         );
-        assert_eq!(w.fallback_fresh_grounds, 1, "{fault:?} must not fire twice");
+        assert_eq!(
+            w.telemetry.fallback_fresh_grounds, 1,
+            "{fault:?} must not fire twice"
+        );
     }
 }
 
@@ -199,23 +226,36 @@ fn seeded_fault_plan_recovers_end_to_end() {
         disarm();
     }
     assert!(
-        w.fallback_fresh_grounds + w.duals_dropped + w.solver_restarts > 0,
+        w.telemetry.fallback_fresh_grounds
+            + w.telemetry.duals_dropped
+            + w.telemetry.solver_restarts
+            > 0,
         "seed {}: at least one ladder rung must have fired",
         plan.seed()
     );
 }
 
-/// End-to-end: a full local search with a fault armed mid-flight selects
-/// the same mapping as the fault-free search.
+/// End-to-end: a full local search that tracks the relaxation, with a
+/// fault armed mid-flight, selects the same mapping as the fault-free
+/// search.
 #[test]
 fn local_search_selection_survives_injection() {
     let model = model();
     let w = ObjectiveWeights::unweighted();
+    let tracked = LocalSearch {
+        track_relaxation: true,
+        ..LocalSearch::default()
+    };
     disarm();
-    let clean = LocalSearch::default().select(&model, &w).unwrap();
-    for fault in cms_fault::ALL_FAULTS {
-        cms_fault::arm(fault);
-        let faulted = LocalSearch::default().select(&model, &w).unwrap();
+    let clean = tracked.select(&model, &w).unwrap();
+    for fault in fault::ALL_FAULTS {
+        fault::arm(fault);
+        let faulted = tracked.select(&model, &w).unwrap();
+        assert_eq!(
+            fault::armed(),
+            None,
+            "{fault:?} was never consumed — the search did not reach it"
+        );
         disarm();
         assert_eq!(
             clean.selected, faulted.selected,

@@ -42,6 +42,12 @@ fn ring_bounds_retention_dumps_on_degradation_and_attributes_stalls() {
     let scenario = scenario();
     let weights = ObjectiveWeights::unweighted();
     let model = CoverageModel::build(&scenario.source, &scenario.target, &scenario.candidates);
+    // Every run here exercises the relaxation: local search opts into
+    // copying its climbs into the warm reground + ADMM path.
+    let tracked = LocalSearch {
+        track_relaxation: true,
+        ..LocalSearch::default()
+    };
 
     // --- Bounded capture: a run emitting more events than the ring
     // holds keeps exactly `capacity` records and accounts for every
@@ -49,9 +55,7 @@ fn ring_bounds_retention_dumps_on_degradation_and_attributes_stalls() {
     obs::set_ring_capacity_override(Some(4));
     let _ = obs::drain_journal_snapshot();
     let _ = obs::drain_spans();
-    let _ = LocalSearch::default()
-        .select(&model, &weights)
-        .expect("selects");
+    let _ = tracked.select(&model, &weights).expect("selects");
     let snap = obs::drain_journal_snapshot();
     assert_eq!(snap.records.len(), 4, "ring retains exactly its capacity");
     assert!(
@@ -88,7 +92,7 @@ fn ring_bounds_retention_dumps_on_degradation_and_attributes_stalls() {
     let _ = obs::drain_journal_snapshot();
     let _ = obs::drain_spans();
     cms::psl::fault::arm(cms::psl::Fault::CorruptSpliceOrdinal);
-    let _ = LocalSearch::default()
+    let _ = tracked
         .select(&model, &weights)
         .expect("selects through the ladder");
     cms::psl::fault::disarm();
@@ -115,14 +119,12 @@ fn ring_bounds_retention_dumps_on_degradation_and_attributes_stalls() {
     // span profile.
     let _ = obs::drain_journal_snapshot();
     let _ = obs::drain_spans();
-    let _ = LocalSearch::default()
-        .select(&model, &weights)
-        .expect("clean run selects");
+    let _ = tracked.select(&model, &weights).expect("clean run selects");
     let clean = obs::drain_journal_snapshot();
     let clean_profile = obs::profile(&obs::drain_spans(), 0);
 
     cms::psl::fault::arm(cms::psl::Fault::SolverStall);
-    let _ = LocalSearch::default()
+    let _ = tracked
         .select(&model, &weights)
         .expect("stalled run selects");
     cms::psl::fault::disarm();

@@ -10,7 +10,7 @@
 
 use cms::obs;
 use cms::prelude::*;
-use cms::select::build_eval_program;
+use cms::select::{build_eval_program, SelectionTelemetry};
 
 fn scenario() -> Scenario {
     generate(&ScenarioConfig {
@@ -99,16 +99,41 @@ fn journal_covers_the_pipeline_and_reconciles_with_engine_stats() {
     assert_eq!(pots, total.potentials as u64);
     assert_eq!(cons, total.constraints as u64);
 
-    // --- Full run: local search through the warm relaxation, with one
+    // --- Default local search is a pure discrete search: nothing goes
+    // through the relaxation, so nothing is regrounded or solved. ---
+    let _ = obs::drain_journal();
+    let plain = LocalSearch::default()
+        .select(&model, &weights)
+        .expect("selects");
+    let events = obs::drain_journal();
+    for e in &events {
+        let kind = e.event.kind();
+        assert!(
+            kind != "reground" && kind != "solve",
+            "default local search emitted a {kind} event"
+        );
+    }
+    assert_eq!(plain.telemetry, SelectionTelemetry::default());
+
+    // --- Full run: local search opted into the warm relaxation, with one
     // fault forcing rung 1 of the degradation ladder. ---
     let _ = obs::drain_journal();
     cms::psl::fault::arm(cms::psl::Fault::PoisonDuals);
-    let sel = LocalSearch::default()
-        .select(&model, &weights)
-        .expect("selects");
+    let sel = LocalSearch {
+        track_relaxation: true,
+        ..LocalSearch::default()
+    }
+    .select(&model, &weights)
+    .expect("selects");
     cms::psl::fault::disarm();
     let events = obs::drain_journal();
     obs::clear_level_override();
+
+    // Tracking the relaxation changes what is reported, not what is
+    // selected.
+    assert_eq!(sel.selected, plain.selected);
+    assert_eq!(sel.objective, plain.objective);
+    assert_eq!(sel.evaluations, plain.evaluations);
 
     let t = &sel.telemetry;
     let kinds: std::collections::BTreeSet<&str> = events.iter().map(|e| e.event.kind()).collect();
