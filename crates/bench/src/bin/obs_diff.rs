@@ -15,8 +15,9 @@
 //!   plus inclusive deltas and call-count drift;
 //! * journals: per-phase wall time aggregated from the typed events
 //!   (`chase`, `ground`, `reground`, `solve/local`, `solve/consensus`)
-//!   plus every numeric counter the events carry (iterations, restarts,
-//!   splice/reuse counts, degradation rungs, faults, ring drops).
+//!   plus every numeric counter the events carry: each count field of
+//!   the `ChaseStats`/`GroundStats` field lists, ADMM iterations and
+//!   restarts, degradation rungs, faults, ring drops.
 //!
 //! Exit code 0 on success (the tool explains; `bench_gate` gates),
 //! 1 on unreadable or mismatched inputs.
@@ -24,6 +25,7 @@
 use cms_obs::{Event, JournalSnapshot, Profile};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::time::Duration;
 
 /// One named quantity of a run, in comparable units.
 type Table = BTreeMap<String, f64>;
@@ -54,56 +56,36 @@ fn profile_tables(p: &Profile) -> (Table, Table, Table) {
     (self_ms, incl_ms, calls)
 }
 
+fn add(t: &mut Table, key: &str, v: f64) {
+    *t.entry(key.to_owned()).or_insert(0.0) += v;
+}
+
+/// Add one stats record: its wall time to `phase` and every count field
+/// of its field list as `<phase>.<field>`.
+fn add_stats(
+    wall_ms: &mut Table,
+    counters: &mut Table,
+    phase: &str,
+    wall: Duration,
+    fields: Vec<(&str, f64)>,
+) {
+    add(wall_ms, phase, wall.as_secs_f64() * 1e3);
+    for (field, v) in fields {
+        add(counters, &format!("{phase}.{field}"), v);
+    }
+}
+
 /// Phase wall-time and counter tables aggregated from a journal.
 fn journal_tables(j: &JournalSnapshot) -> (Table, Table) {
     let mut wall_ms = Table::new();
     let mut counters = Table::new();
-    let add = |t: &mut Table, key: &str, v: f64| *t.entry(key.to_owned()).or_insert(0.0) += v;
     for r in &j.records {
-        add(&mut counters, &format!("events.{}", r.event.kind()), 1.0);
+        let kind = r.event.kind();
+        add(&mut counters, &format!("events.{kind}"), 1.0);
         match &r.event {
-            Event::Chase {
-                firings,
-                tuples_emitted,
-                wall_ns,
-                ..
-            } => {
-                add(&mut wall_ms, "chase", *wall_ns as f64 / 1e6);
-                add(&mut counters, "chase.firings", *firings as f64);
-                add(
-                    &mut counters,
-                    "chase.tuples_emitted",
-                    *tuples_emitted as f64,
-                );
-            }
-            Event::Ground { counters: c, .. } | Event::Reground { counters: c, .. } => {
-                let phase = r.event.kind();
-                add(&mut wall_ms, phase, c.wall_ns as f64 / 1e6);
-                add(
-                    &mut counters,
-                    &format!("{phase}.substitutions"),
-                    c.substitutions as f64,
-                );
-                add(
-                    &mut counters,
-                    &format!("{phase}.potentials"),
-                    c.potentials as f64,
-                );
-                add(
-                    &mut counters,
-                    &format!("{phase}.terms_reused"),
-                    c.terms_reused as f64,
-                );
-                add(
-                    &mut counters,
-                    &format!("{phase}.terms_recomputed"),
-                    c.terms_recomputed as f64,
-                );
-                add(
-                    &mut counters,
-                    &format!("{phase}.entries_coalesced"),
-                    c.entries_coalesced as f64,
-                );
+            Event::Chase(s) => add_stats(&mut wall_ms, &mut counters, kind, s.wall, s.counters()),
+            Event::Ground { stats: s, .. } | Event::Reground { stats: s, .. } => {
+                add_stats(&mut wall_ms, &mut counters, kind, s.wall, s.counters());
             }
             Event::Solve {
                 iterations,

@@ -22,45 +22,10 @@ use crate::json::{self, escape_str, fmt_f64, Json};
 use crate::level::{enabled, ObsLevel};
 use crate::ring::{ring_capacity, Ring};
 use crate::span::{current_span, now_ns, SpanId, SpanRecord};
+use crate::stats::{ChaseStats, GroundStats};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// The numeric counters of one grounding (a mirror of `GroundStats`
-/// in `cms-psl`, which this crate cannot depend on).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GroundCounters {
-    /// Substitutions enumerated.
-    pub substitutions: u64,
-    /// Potentials emitted.
-    pub potentials: u64,
-    /// Hard constraints emitted.
-    pub constraints: u64,
-    /// Groundings pruned as trivially satisfied.
-    pub pruned: u64,
-    /// Objective contribution of constant groundings.
-    pub constant_loss: f64,
-    /// Candidate atoms reached through index probes.
-    pub candidates_probed: u64,
-    /// Candidate atoms reached through full pool scans.
-    pub candidates_scanned: u64,
-    /// Ground terms spliced unchanged by a reground.
-    pub terms_reused: u64,
-    /// Ground terms recomputed by a reground.
-    pub terms_recomputed: u64,
-    /// Arithmetic free bindings spliced without re-folding.
-    pub arith_bindings_spliced: u64,
-    /// Self-healing fresh-ground fallbacks absorbed.
-    pub fallback_fresh_grounds: u64,
-    /// ADMM watchdog restarts absorbed.
-    pub solver_restarts: u64,
-    /// Raw delta entries coalesced away before the reground.
-    pub entries_coalesced: u64,
-    /// Batch entries deduplicated into already-scheduled reground work.
-    pub sources_deduped: u64,
-    /// Wall time, nanoseconds.
-    pub wall_ns: u64,
-}
 
 /// One degradation-ladder rung, as a typed record (previously a
 /// `note_degradation` string in `cms-select`).
@@ -124,40 +89,21 @@ impl DegradationRung {
 /// A typed telemetry event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// One chase-engine run (mirrors `ChaseStats` in `cms-tgd`).
-    Chase {
-        /// Candidate tgds chased.
-        tgds: u64,
-        /// Body-prefix trie nodes.
-        trie_nodes: u64,
-        /// Partial-binding extensions evaluated.
-        prefix_bindings_computed: u64,
-        /// Extensions shared through the trie.
-        prefix_bindings_reused: u64,
-        /// Rows reached through index probes.
-        candidates_probed: u64,
-        /// Rows reached through full scans.
-        candidates_scanned: u64,
-        /// Head instantiations.
-        firings: u64,
-        /// New tuples inserted.
-        tuples_emitted: u64,
-        /// Wall time, nanoseconds.
-        wall_ns: u64,
-    },
+    /// One chase-engine run.
+    Chase(ChaseStats),
     /// One rule grounded from scratch.
     Ground {
         /// Rule name (`rule#i` or the arithmetic rule's name).
         rule: String,
-        /// The rule's counters.
-        counters: GroundCounters,
+        /// The rule's stats.
+        stats: GroundStats,
     },
     /// One incremental reground of a whole program.
     Reground {
         /// Rules in the program.
         rules: u64,
         /// Totals across all rules after the splice.
-        counters: GroundCounters,
+        stats: GroundStats,
     },
     /// One ADMM solve (mirrors `AdmmSolution` in `cms-psl`).
     Solve {
@@ -191,7 +137,7 @@ impl Event {
     /// The JSONL `type` tag.
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::Chase { .. } => "chase",
+            Event::Chase(_) => "chase",
             Event::Ground { .. } => "ground",
             Event::Reground { .. } => "reground",
             Event::Solve { .. } => "solve",
@@ -254,7 +200,12 @@ pub fn events_dropped() -> u64 {
 // ---------------------------------------------------------------------------
 
 /// Current version of the snapshot header schema.
-pub const JOURNAL_HEADER_VERSION: u64 = 1;
+///
+/// Version 2 carries the stats structs' field lists as they are: the
+/// `ground`/`reground` records dropped `fallback_fresh_grounds` and
+/// `solver_restarts`. Version-1 exports still parse (unknown keys are
+/// ignored).
+pub const JOURNAL_HEADER_VERSION: u64 = 2;
 
 /// Drop-accounting metadata exported as the first line of a journal
 /// snapshot, so a reader can tell exactly how much the flight recorder
@@ -466,34 +417,16 @@ pub fn dump_on_degradation(rung: u32) -> Option<String> {
 // JSONL export / import
 // ---------------------------------------------------------------------------
 
-fn push_u64(out: &mut String, key: &str, v: u64) {
+pub(crate) fn push_u64(out: &mut String, key: &str, v: u64) {
     let _ = write!(out, ",\"{key}\":{v}");
 }
 
-fn push_f64(out: &mut String, key: &str, v: f64) {
+pub(crate) fn push_f64(out: &mut String, key: &str, v: f64) {
     let _ = write!(out, ",\"{key}\":{}", fmt_f64(v));
 }
 
 fn push_str(out: &mut String, key: &str, v: &str) {
     let _ = write!(out, ",\"{key}\":{}", escape_str(v));
-}
-
-fn push_ground_counters(out: &mut String, c: &GroundCounters) {
-    push_u64(out, "substitutions", c.substitutions);
-    push_u64(out, "potentials", c.potentials);
-    push_u64(out, "constraints", c.constraints);
-    push_u64(out, "pruned", c.pruned);
-    push_f64(out, "constant_loss", c.constant_loss);
-    push_u64(out, "candidates_probed", c.candidates_probed);
-    push_u64(out, "candidates_scanned", c.candidates_scanned);
-    push_u64(out, "terms_reused", c.terms_reused);
-    push_u64(out, "terms_recomputed", c.terms_recomputed);
-    push_u64(out, "arith_bindings_spliced", c.arith_bindings_spliced);
-    push_u64(out, "fallback_fresh_grounds", c.fallback_fresh_grounds);
-    push_u64(out, "solver_restarts", c.solver_restarts);
-    push_u64(out, "entries_coalesced", c.entries_coalesced);
-    push_u64(out, "sources_deduped", c.sources_deduped);
-    push_u64(out, "wall_ns", c.wall_ns);
 }
 
 /// Serialise one record as a single JSON line (no trailing newline).
@@ -506,38 +439,14 @@ pub fn to_json_line(r: &EventRecord) -> String {
         r.event.kind()
     );
     match &r.event {
-        Event::Chase {
-            tgds,
-            trie_nodes,
-            prefix_bindings_computed,
-            prefix_bindings_reused,
-            candidates_probed,
-            candidates_scanned,
-            firings,
-            tuples_emitted,
-            wall_ns,
-        } => {
-            push_u64(&mut out, "tgds", *tgds);
-            push_u64(&mut out, "trie_nodes", *trie_nodes);
-            push_u64(
-                &mut out,
-                "prefix_bindings_computed",
-                *prefix_bindings_computed,
-            );
-            push_u64(&mut out, "prefix_bindings_reused", *prefix_bindings_reused);
-            push_u64(&mut out, "candidates_probed", *candidates_probed);
-            push_u64(&mut out, "candidates_scanned", *candidates_scanned);
-            push_u64(&mut out, "firings", *firings);
-            push_u64(&mut out, "tuples_emitted", *tuples_emitted);
-            push_u64(&mut out, "wall_ns", *wall_ns);
-        }
-        Event::Ground { rule, counters } => {
+        Event::Chase(stats) => stats.push_json(&mut out),
+        Event::Ground { rule, stats } => {
             push_str(&mut out, "rule", rule);
-            push_ground_counters(&mut out, counters);
+            stats.push_json(&mut out);
         }
-        Event::Reground { rules, counters } => {
+        Event::Reground { rules, stats } => {
             push_u64(&mut out, "rules", *rules);
-            push_ground_counters(&mut out, counters);
+            stats.push_json(&mut out);
         }
         Event::Solve {
             iterations,
@@ -591,13 +500,13 @@ pub fn export_jsonl(records: &[EventRecord]) -> String {
     out
 }
 
-fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
+pub(crate) fn req_u64(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("missing/invalid u64 field {key:?}"))
 }
 
-fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
+pub(crate) fn req_f64(v: &Json, key: &str) -> Result<f64, String> {
     v.get(key)
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("missing/invalid number field {key:?}"))
@@ -608,26 +517,6 @@ fn req_str(v: &Json, key: &str) -> Result<String, String> {
         .and_then(Json::as_str)
         .map(str::to_owned)
         .ok_or_else(|| format!("missing/invalid string field {key:?}"))
-}
-
-fn parse_ground_counters(v: &Json) -> Result<GroundCounters, String> {
-    Ok(GroundCounters {
-        substitutions: req_u64(v, "substitutions")?,
-        potentials: req_u64(v, "potentials")?,
-        constraints: req_u64(v, "constraints")?,
-        pruned: req_u64(v, "pruned")?,
-        constant_loss: req_f64(v, "constant_loss")?,
-        candidates_probed: req_u64(v, "candidates_probed")?,
-        candidates_scanned: req_u64(v, "candidates_scanned")?,
-        terms_reused: req_u64(v, "terms_reused")?,
-        terms_recomputed: req_u64(v, "terms_recomputed")?,
-        arith_bindings_spliced: req_u64(v, "arith_bindings_spliced")?,
-        fallback_fresh_grounds: req_u64(v, "fallback_fresh_grounds")?,
-        solver_restarts: req_u64(v, "solver_restarts")?,
-        entries_coalesced: req_u64(v, "entries_coalesced")?,
-        sources_deduped: req_u64(v, "sources_deduped")?,
-        wall_ns: req_u64(v, "wall_ns")?,
-    })
 }
 
 /// Parse one JSON line back into an [`EventRecord`] — the inverse of
@@ -641,24 +530,14 @@ pub fn from_json_line(line: &str) -> Result<EventRecord, String> {
 /// same objects nested inside Chrome trace `args`.
 pub(crate) fn record_from_json(v: &Json) -> Result<EventRecord, String> {
     let event = match req_str(v, "type")?.as_str() {
-        "chase" => Event::Chase {
-            tgds: req_u64(v, "tgds")?,
-            trie_nodes: req_u64(v, "trie_nodes")?,
-            prefix_bindings_computed: req_u64(v, "prefix_bindings_computed")?,
-            prefix_bindings_reused: req_u64(v, "prefix_bindings_reused")?,
-            candidates_probed: req_u64(v, "candidates_probed")?,
-            candidates_scanned: req_u64(v, "candidates_scanned")?,
-            firings: req_u64(v, "firings")?,
-            tuples_emitted: req_u64(v, "tuples_emitted")?,
-            wall_ns: req_u64(v, "wall_ns")?,
-        },
+        "chase" => Event::Chase(ChaseStats::parse_json(v)?),
         "ground" => Event::Ground {
             rule: req_str(v, "rule")?,
-            counters: parse_ground_counters(v)?,
+            stats: GroundStats::parse_json(v)?,
         },
         "reground" => Event::Reground {
             rules: req_u64(v, "rules")?,
-            counters: parse_ground_counters(v)?,
+            stats: GroundStats::parse_json(v)?,
         },
         "solve" => Event::Solve {
             iterations: req_u64(v, "iterations")?,
@@ -715,32 +594,26 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<EventRecord>, String> {
 // Human-readable rendering
 // ---------------------------------------------------------------------------
 
+/// A stats block's nonzero counts as `field=value`, then its wall time.
+fn stats_summary(counts: Vec<(&str, f64)>, wall: std::time::Duration) -> String {
+    let mut out = String::new();
+    for (field, v) in counts.into_iter().filter(|&(_, v)| v != 0.0) {
+        let _ = write!(out, "{field}={v} ");
+    }
+    let _ = write!(out, "in {:.3}ms", wall.as_secs_f64() * 1e3);
+    out
+}
+
 fn event_line(r: &EventRecord) -> String {
     let t_ms = r.t_ns as f64 / 1e6;
     let body = match &r.event {
-        Event::Chase {
-            tgds,
-            firings,
-            tuples_emitted,
-            wall_ns,
-            ..
-        } => format!(
-            "chase: {tgds} tgds, {firings} firings, {tuples_emitted} tuples in {:.3}ms",
-            *wall_ns as f64 / 1e6
-        ),
-        Event::Ground { rule, counters } => format!(
-            "ground {rule}: {} potentials, {} constraints, {} substitutions in {:.3}ms",
-            counters.potentials,
-            counters.constraints,
-            counters.substitutions,
-            counters.wall_ns as f64 / 1e6
-        ),
-        Event::Reground { rules, counters } => format!(
-            "reground ({rules} rules): {} reused, {} recomputed, {} arith spliced in {:.3}ms",
-            counters.terms_reused,
-            counters.terms_recomputed,
-            counters.arith_bindings_spliced,
-            counters.wall_ns as f64 / 1e6
+        Event::Chase(s) => format!("chase: {}", stats_summary(s.counters(), s.wall)),
+        Event::Ground { rule, stats: s } => {
+            format!("ground {rule}: {}", stats_summary(s.counters(), s.wall))
+        }
+        Event::Reground { rules, stats: s } => format!(
+            "reground ({rules} rules): {}",
+            stats_summary(s.counters(), s.wall)
         ),
         Event::Solve {
             iterations,

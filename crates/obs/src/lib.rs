@@ -17,6 +17,9 @@
 //!   exportable as JSONL ([`export_jsonl`]) and as a human-readable
 //!   tree ([`render_tree`]) — active at [`ObsLevel::Journal`].
 //!
+//! The chase and grounding records carry the engines' own
+//! [`ChaseStats`] and [`GroundStats`], each declared once in [`stats`].
+//!
 //! At `off` every recording call is one relaxed atomic load and an
 //! untaken branch; the regrounding bench gates the `stats` level at
 //! ≤2% overhead on the warm-flip path. See `docs/observability.md`
@@ -33,13 +36,14 @@ pub mod profile;
 pub mod ring;
 pub mod rss;
 pub mod span;
+pub mod stats;
 pub mod trace;
 
 pub use journal::{
     clear_dump_path_override, drain_journal, drain_journal_snapshot, dump_on_degradation, emit,
     events_dropped, export_jsonl, from_json_line, parse_jsonl, render_tree, set_dump_path_override,
-    snapshot_journal, to_json_line, DegradationRung, Event, EventRecord, GroundCounters,
-    JournalHeader, JournalSnapshot,
+    snapshot_journal, to_json_line, DegradationRung, Event, EventRecord, JournalHeader,
+    JournalSnapshot,
 };
 pub use level::{clear_level_override, enabled, level, set_level_override, ObsLevel};
 pub use metrics::{
@@ -57,6 +61,7 @@ pub use span::{
     render_tree as render_span_tree, set_cpu_sampling_override, set_thread_track, snapshot_spans,
     span, span_with_parent, spans_dropped, thread_track_names, SpanGuard, SpanId, SpanRecord,
 };
+pub use stats::{ChaseStats, GroundStats};
 pub use trace::{export_trace_json, parse_trace_json};
 
 use std::sync::OnceLock;

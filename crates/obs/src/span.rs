@@ -110,7 +110,7 @@ static TRACK_NAMES: Mutex<Option<std::collections::BTreeMap<u64, String>>> = Mut
 
 /// Label the calling thread's trace track (e.g. `admm-worker-0`). The
 /// trace export emits it as the Perfetto thread name. No-op below
-/// [`ObsLevel::Spans`] and once [`TRACK_NAME_CAP`] distinct threads
+/// [`ObsLevel::Spans`] and once `TRACK_NAME_CAP` (4096) distinct threads
 /// have registered.
 pub fn set_thread_track(name: impl Into<String>) {
     if !enabled(ObsLevel::Spans) {

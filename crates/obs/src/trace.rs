@@ -200,7 +200,8 @@ pub fn parse_trace_json(text: &str) -> Result<Trace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{DegradationRung, Event, GroundCounters};
+    use crate::journal::{DegradationRung, Event};
+    use crate::stats::GroundStats;
 
     fn sample_spans() -> Vec<SpanRecord> {
         vec![
@@ -233,12 +234,12 @@ mod tests {
                 span: SpanId(1),
                 event: Event::Ground {
                     rule: "error-link \"σ\"".into(),
-                    counters: GroundCounters {
+                    stats: GroundStats {
                         substitutions: 12,
                         potentials: 3,
                         constant_loss: -2.5,
-                        wall_ns: 777,
-                        ..GroundCounters::default()
+                        wall: std::time::Duration::from_nanos(777),
+                        ..GroundStats::default()
                     },
                 },
             },

@@ -9,11 +9,12 @@
 use cms_obs::{
     drain_journal, drain_spans, emit, export_jsonl, export_trace_json, parse_jsonl,
     parse_trace_json, render_span_tree, render_tree, set_level_override, span, span_with_parent,
-    DegradationRung, Event, EventRecord, GroundCounters, ObsLevel, SpanId, SpanRecord,
+    ChaseStats, DegradationRung, Event, EventRecord, GroundStats, ObsLevel, SpanId, SpanRecord,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
+use std::time::Duration;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -140,20 +141,25 @@ fn tricky_strings() -> Vec<String> {
     ]
 }
 
-fn counters_strategy() -> impl Strategy<Value = GroundCounters> {
+fn ground_stats_strategy() -> impl Strategy<Value = GroundStats> {
     (
-        (0u64..1_000_000, 0u64..1_000_000, 0u64..1_000, 0u64..1_000),
-        (-1e9f64..1e9, 0u64..1_000_000, 0u64..1_000_000),
         (
-            0u64..1_000_000,
-            0u64..1_000_000,
-            0u64..10_000,
-            0u64..10_000,
-            0u64..10_000,
+            0usize..1_000_000,
+            0usize..1_000_000,
+            0usize..1_000,
+            0usize..1_000,
         ),
-        (0u64..16, 0u64..16, 0u64..10_000_000_000),
+        (-1e9f64..1e9, 0usize..1_000_000, 0usize..1_000_000),
+        (
+            0usize..1_000_000,
+            0usize..1_000_000,
+            0usize..10_000,
+            0usize..10_000,
+            0usize..10_000,
+        ),
+        0u64..10_000_000_000,
     )
-        .prop_map(|(a, b, c, d)| GroundCounters {
+        .prop_map(|(a, b, c, wall_ns)| GroundStats {
             substitutions: a.0,
             potentials: a.1,
             constraints: a.2,
@@ -166,35 +172,45 @@ fn counters_strategy() -> impl Strategy<Value = GroundCounters> {
             arith_bindings_spliced: c.2,
             entries_coalesced: c.3,
             sources_deduped: c.4,
-            fallback_fresh_grounds: d.0,
-            solver_restarts: d.1,
-            wall_ns: d.2,
+            wall: Duration::from_nanos(wall_ns),
+        })
+}
+
+fn chase_stats_strategy() -> impl Strategy<Value = ChaseStats> {
+    (
+        (
+            0usize..100,
+            0usize..10_000,
+            0usize..1_000_000,
+            0usize..1_000_000,
+        ),
+        (0usize..1_000_000, 0usize..1_000_000),
+        (0usize..100_000, 0usize..100_000, 0u64..10_000_000_000),
+    )
+        .prop_map(|(a, b, c)| ChaseStats {
+            tgds: a.0,
+            trie_nodes: a.1,
+            prefix_bindings_computed: a.2,
+            prefix_bindings_reused: a.3,
+            candidates_probed: b.0,
+            candidates_scanned: b.1,
+            firings: c.0,
+            tuples_emitted: c.1,
+            wall: Duration::from_nanos(c.2),
         })
 }
 
 fn event_strategy() -> impl Strategy<Value = Event> {
     let strings = prop::sample::select(tricky_strings());
     prop_oneof![
+        chase_stats_strategy().prop_map(Event::Chase),
         (
-            (0u64..100, 0u64..10_000, 0u64..1_000_000, 0u64..1_000_000),
-            (0u64..1_000_000, 0u64..1_000_000),
-            (0u64..100_000, 0u64..100_000, 0u64..10_000_000_000),
+            prop::sample::select(tricky_strings()),
+            ground_stats_strategy()
         )
-            .prop_map(|(a, b, c)| Event::Chase {
-                tgds: a.0,
-                trie_nodes: a.1,
-                prefix_bindings_computed: a.2,
-                prefix_bindings_reused: a.3,
-                candidates_probed: b.0,
-                candidates_scanned: b.1,
-                firings: c.0,
-                tuples_emitted: c.1,
-                wall_ns: c.2,
-            }),
-        (prop::sample::select(tricky_strings()), counters_strategy())
-            .prop_map(|(rule, counters)| Event::Ground { rule, counters }),
-        (0u64..64, counters_strategy())
-            .prop_map(|(rules, counters)| Event::Reground { rules, counters }),
+            .prop_map(|(rule, stats)| Event::Ground { rule, stats }),
+        (0u64..64, ground_stats_strategy())
+            .prop_map(|(rules, stats)| Event::Reground { rules, stats }),
         (
             (0u64..100_000, any::<bool>(), 0u64..8),
             prop::sample::select(tricky_strings()),

@@ -884,10 +884,10 @@ impl Program {
                 for s in prior.rule_stats.values() {
                     total.absorb(s);
                 }
-                total.bump_registry("reground");
+                total.record_reground();
                 cms_obs::emit(cms_obs::Event::Reground {
                     rules: (self.rules.len() + self.arith_rules.len()) as u64,
-                    counters: total.obs_counters(),
+                    stats: total,
                 });
             }
             return Ok(prior);
@@ -1598,10 +1598,9 @@ impl Program {
         debug_assert_eq!(reuse.pots.len(), potentials.len());
         debug_assert_eq!(reuse.cons.len(), constraints.len());
 
-        // Delta-wide batch accounting under a synthetic rule entry (the
-        // same convention as the self-healing ladder's "self-healing"
-        // entry): how many raw mutations the drain coalesced away before
-        // this reground ever saw them.
+        // Delta-wide batch accounting under a synthetic rule entry: how
+        // many raw mutations the drain coalesced away before this reground
+        // ever saw them.
         rule_stats.insert(
             "delta-batch".to_owned(),
             GroundStats {
@@ -1615,10 +1614,10 @@ impl Program {
             for s in rule_stats.values() {
                 total.absorb(s);
             }
-            total.bump_registry("reground");
+            total.record_reground();
             cms_obs::emit(cms_obs::Event::Reground {
                 rules: (self.rules.len() + self.arith_rules.len()) as u64,
-                counters: total.obs_counters(),
+                stats: total,
             });
         }
         Ok(GroundProgram {

@@ -41,7 +41,9 @@ use crate::linear::LinExpr;
 use crate::plan::{EmitLiteral, JoinPlan, SlotTerm};
 use crate::rule::{Literal, LogicalRule};
 use cms_data::{FxHashMap, Sym};
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+pub use cms_obs::GroundStats;
 
 /// Maps target atoms to dense variable indices; owns the variable order.
 #[derive(Clone, Debug, Default)]
@@ -136,217 +138,6 @@ impl std::fmt::Display for GroundingError {
 }
 
 impl std::error::Error for GroundingError {}
-
-/// Per-rule grounding statistics.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct GroundStats {
-    /// Substitutions enumerated.
-    pub substitutions: usize,
-    /// Potentials emitted (weighted rules).
-    pub potentials: usize,
-    /// Constraints emitted (hard rules).
-    pub constraints: usize,
-    /// Groundings pruned as trivially satisfied.
-    pub pruned: usize,
-    /// Objective contribution of groundings whose distance is a positive
-    /// constant (no free variables) — charged regardless of inference.
-    pub constant_loss: f64,
-    /// Candidate atoms reached through index probes (posting-list walks).
-    pub candidates_probed: usize,
-    /// Candidate atoms reached through full pool scans (no bound argument
-    /// at that backtracking node). The index "short-circuits" work exactly
-    /// when this stays near the root-literal pool size.
-    pub candidates_scanned: usize,
-    /// Ground terms spliced unchanged from a prior ground program by
-    /// [`crate::Program::reground`] (always 0 for a full grounding).
-    pub terms_reused: usize,
-    /// Groundings recomputed by [`crate::Program::reground`] because a
-    /// mutated atom touched them (always 0 for a full grounding).
-    pub terms_recomputed: usize,
-    /// Arithmetic-rule free bindings whose summation folds were spliced
-    /// unchanged by [`crate::Program::reground`] — the per-binding splice
-    /// table let them skip re-folding entirely (always 0 for a full
-    /// grounding).
-    pub arith_bindings_spliced: usize,
-    /// Times the self-healing ladder abandoned an incremental reground (or
-    /// an unhealthy solve) and fell back to a fresh
-    /// [`crate::Program::ground`]. Always 0 for a single grounding —
-    /// `cms-select` accumulates it under a synthetic `"self-healing"` rule
-    /// entry.
-    pub fallback_fresh_grounds: usize,
-    /// ADMM watchdog restarts absorbed while solving against this program
-    /// (a pipeline-level counter like `fallback_fresh_grounds`).
-    pub solver_restarts: usize,
-    /// Raw delta entries the drain coalesced away before
-    /// [`crate::Program::reground`] saw them (cancelling add/remove pairs,
-    /// folded `Changed` chains). Recorded delta-wide under the synthetic
-    /// `"delta-batch"` rule entry; always 0 for a full grounding.
-    pub entries_coalesced: usize,
-    /// Batch entries whose work item (seeded re-grounding, arith free
-    /// binding, or whole-rule re-ground) was already scheduled by an
-    /// earlier entry of the same drained delta, so they cost nothing extra
-    /// (always 0 for a full grounding).
-    pub sources_deduped: usize,
-    /// Wall time spent grounding this rule.
-    pub wall: Duration,
-}
-
-impl GroundStats {
-    /// Fold `other` into `self` (used when aggregating per-rule stats).
-    pub fn absorb(&mut self, other: &GroundStats) {
-        self.substitutions += other.substitutions;
-        self.potentials += other.potentials;
-        self.constraints += other.constraints;
-        self.pruned += other.pruned;
-        self.constant_loss += other.constant_loss;
-        self.candidates_probed += other.candidates_probed;
-        self.candidates_scanned += other.candidates_scanned;
-        self.terms_reused += other.terms_reused;
-        self.terms_recomputed += other.terms_recomputed;
-        self.arith_bindings_spliced += other.arith_bindings_spliced;
-        self.fallback_fresh_grounds += other.fallback_fresh_grounds;
-        self.solver_restarts += other.solver_restarts;
-        self.entries_coalesced += other.entries_coalesced;
-        self.sources_deduped += other.sources_deduped;
-        self.wall += other.wall;
-    }
-
-    /// These counters as the telemetry journal's grounding mirror
-    /// ([`cms_obs::GroundCounters`] — `cms-obs` is dependency-free and
-    /// cannot name this struct itself).
-    pub fn obs_counters(&self) -> cms_obs::GroundCounters {
-        cms_obs::GroundCounters {
-            substitutions: self.substitutions as u64,
-            potentials: self.potentials as u64,
-            constraints: self.constraints as u64,
-            pruned: self.pruned as u64,
-            constant_loss: self.constant_loss,
-            candidates_probed: self.candidates_probed as u64,
-            candidates_scanned: self.candidates_scanned as u64,
-            terms_reused: self.terms_reused as u64,
-            terms_recomputed: self.terms_recomputed as u64,
-            arith_bindings_spliced: self.arith_bindings_spliced as u64,
-            fallback_fresh_grounds: self.fallback_fresh_grounds as u64,
-            solver_restarts: self.solver_restarts as u64,
-            entries_coalesced: self.entries_coalesced as u64,
-            sources_deduped: self.sources_deduped as u64,
-            wall_ns: self.wall.as_nanos() as u64,
-        }
-    }
-
-    /// Bump the aggregate `<prefix>.*` registry counters for this stats
-    /// block (`prefix` is `ground` or `reground`). Caller has already
-    /// checked the level.
-    ///
-    /// This runs once per ground/reground inside the flip loop the
-    /// telemetry-overhead gate times, so the two known prefixes go
-    /// through pre-resolved [`cms_obs::LazyCounter`] handles — no name
-    /// formatting, no registry lock after the first call.
-    pub(crate) fn bump_registry(&self, prefix: &str) {
-        static GROUND: StatCounters = StatCounters::new_ground();
-        static REGROUND: StatCounters = StatCounters::new_reground();
-        match prefix {
-            "ground" => GROUND.bump(self),
-            "reground" => REGROUND.bump(self),
-            other => {
-                // Unknown prefix: fall back to by-name lookups.
-                let reg = cms_obs::registry();
-                reg.counter(&format!("{other}.runs")).inc();
-                reg.counter(&format!("{other}.substitutions"))
-                    .add(self.substitutions as u64);
-                reg.counter(&format!("{other}.potentials"))
-                    .add(self.potentials as u64);
-                reg.counter(&format!("{other}.constraints"))
-                    .add(self.constraints as u64);
-                reg.counter(&format!("{other}.pruned"))
-                    .add(self.pruned as u64);
-                reg.counter(&format!("{other}.candidates_probed"))
-                    .add(self.candidates_probed as u64);
-                reg.counter(&format!("{other}.candidates_scanned"))
-                    .add(self.candidates_scanned as u64);
-                reg.counter(&format!("{other}.terms_reused"))
-                    .add(self.terms_reused as u64);
-                reg.counter(&format!("{other}.terms_recomputed"))
-                    .add(self.terms_recomputed as u64);
-                reg.counter(&format!("{other}.arith_bindings_spliced"))
-                    .add(self.arith_bindings_spliced as u64);
-                reg.counter(&format!("{other}.entries_coalesced"))
-                    .add(self.entries_coalesced as u64);
-                reg.counter(&format!("{other}.sources_deduped"))
-                    .add(self.sources_deduped as u64);
-            }
-        }
-    }
-}
-
-/// The twelve `<prefix>.*` counters [`GroundStats::bump_registry`] bumps,
-/// as cached handles.
-struct StatCounters {
-    runs: cms_obs::LazyCounter,
-    substitutions: cms_obs::LazyCounter,
-    potentials: cms_obs::LazyCounter,
-    constraints: cms_obs::LazyCounter,
-    pruned: cms_obs::LazyCounter,
-    candidates_probed: cms_obs::LazyCounter,
-    candidates_scanned: cms_obs::LazyCounter,
-    terms_reused: cms_obs::LazyCounter,
-    terms_recomputed: cms_obs::LazyCounter,
-    arith_bindings_spliced: cms_obs::LazyCounter,
-    entries_coalesced: cms_obs::LazyCounter,
-    sources_deduped: cms_obs::LazyCounter,
-}
-
-impl StatCounters {
-    const fn new_ground() -> StatCounters {
-        StatCounters {
-            runs: cms_obs::LazyCounter::new("ground.runs"),
-            substitutions: cms_obs::LazyCounter::new("ground.substitutions"),
-            potentials: cms_obs::LazyCounter::new("ground.potentials"),
-            constraints: cms_obs::LazyCounter::new("ground.constraints"),
-            pruned: cms_obs::LazyCounter::new("ground.pruned"),
-            candidates_probed: cms_obs::LazyCounter::new("ground.candidates_probed"),
-            candidates_scanned: cms_obs::LazyCounter::new("ground.candidates_scanned"),
-            terms_reused: cms_obs::LazyCounter::new("ground.terms_reused"),
-            terms_recomputed: cms_obs::LazyCounter::new("ground.terms_recomputed"),
-            arith_bindings_spliced: cms_obs::LazyCounter::new("ground.arith_bindings_spliced"),
-            entries_coalesced: cms_obs::LazyCounter::new("ground.entries_coalesced"),
-            sources_deduped: cms_obs::LazyCounter::new("ground.sources_deduped"),
-        }
-    }
-
-    const fn new_reground() -> StatCounters {
-        StatCounters {
-            runs: cms_obs::LazyCounter::new("reground.runs"),
-            substitutions: cms_obs::LazyCounter::new("reground.substitutions"),
-            potentials: cms_obs::LazyCounter::new("reground.potentials"),
-            constraints: cms_obs::LazyCounter::new("reground.constraints"),
-            pruned: cms_obs::LazyCounter::new("reground.pruned"),
-            candidates_probed: cms_obs::LazyCounter::new("reground.candidates_probed"),
-            candidates_scanned: cms_obs::LazyCounter::new("reground.candidates_scanned"),
-            terms_reused: cms_obs::LazyCounter::new("reground.terms_reused"),
-            terms_recomputed: cms_obs::LazyCounter::new("reground.terms_recomputed"),
-            arith_bindings_spliced: cms_obs::LazyCounter::new("reground.arith_bindings_spliced"),
-            entries_coalesced: cms_obs::LazyCounter::new("reground.entries_coalesced"),
-            sources_deduped: cms_obs::LazyCounter::new("reground.sources_deduped"),
-        }
-    }
-
-    fn bump(&self, stats: &GroundStats) {
-        self.runs.inc();
-        self.substitutions.add(stats.substitutions as u64);
-        self.potentials.add(stats.potentials as u64);
-        self.constraints.add(stats.constraints as u64);
-        self.pruned.add(stats.pruned as u64);
-        self.candidates_probed.add(stats.candidates_probed as u64);
-        self.candidates_scanned.add(stats.candidates_scanned as u64);
-        self.terms_reused.add(stats.terms_reused as u64);
-        self.terms_recomputed.add(stats.terms_recomputed as u64);
-        self.arith_bindings_spliced
-            .add(stats.arith_bindings_spliced as u64);
-        self.entries_coalesced.add(stats.entries_coalesced as u64);
-        self.sources_deduped.add(stats.sources_deduped as u64);
-    }
-}
 
 /// Output sink for [`ground_rule`].
 #[derive(Debug, Default)]

@@ -398,7 +398,7 @@ impl Program {
             for s in stats.values() {
                 total.absorb(s);
             }
-            total.bump_registry("ground");
+            total.record_ground();
         }
         if cms_obs::enabled(cms_obs::ObsLevel::Journal) {
             // One typed event per rule-stats entry, in declaration order
@@ -413,7 +413,7 @@ impl Program {
                 if let (true, Some(s)) = (seen.insert(name.clone()), stats.get(name)) {
                     cms_obs::emit(cms_obs::Event::Ground {
                         rule: name.clone(),
-                        counters: s.obs_counters(),
+                        stats: s.clone(),
                     });
                 }
             }

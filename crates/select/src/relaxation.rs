@@ -53,10 +53,9 @@
 //! ladder records every rung taken as a typed [`cms_obs::DegradationRung`]
 //! — in [`WarmRelaxation::last_degradations`] for the last move and in
 //! [`WarmRelaxation::telemetry`] for the lifetime, each one also emitted to
-//! the telemetry journal as a [`cms_obs::Event::Degradation`] — counts it
-//! there (`fallback_fresh_grounds`, `solver_restarts`, `duals_dropped`,
-//! `cold_solves`), and mirrors the pipeline totals into a synthetic
-//! `"self-healing"` entry of the ground program's `rule_stats`.
+//! the telemetry journal as a [`cms_obs::Event::Degradation`] — and counts
+//! it there (`fallback_fresh_grounds`, `solver_restarts`, `duals_dropped`,
+//! `cold_solves`).
 
 use crate::coverage::CoverageModel;
 use crate::objective::ObjectiveWeights;
@@ -323,7 +322,6 @@ impl WarmRelaxation {
             // consensus values, and the carried duals all still describe
             // the database exactly, so the cached objective stands and no
             // solve is needed.
-            self.record_pipeline_stats();
             return Ok(self.soft_objective);
         }
         // Spliced terms keep their ADMM dual state across the reground;
@@ -373,7 +371,6 @@ impl WarmRelaxation {
             }
         }
         self.telemetry.last_health = Some(solution.admm.health);
-        self.record_pipeline_stats();
         self.duals = Some(duals);
         self.values.clone_from(&solution.admm.values);
         self.soft_objective = solution.total_objective();
@@ -393,20 +390,6 @@ impl WarmRelaxation {
         cms_obs::dump_on_degradation(rung.rung());
         self.last_degradations.push(rung.clone());
         self.telemetry.degradations.push(rung);
-    }
-
-    /// Mirror the pipeline-level ladder counters into the ground program's
-    /// `rule_stats` under a synthetic `"self-healing"` entry, so
-    /// [`cms_psl::GroundProgram::total_stats`] reports them alongside the
-    /// per-rule grounding stats.
-    fn record_pipeline_stats(&mut self) {
-        let entry = self
-            .ground
-            .rule_stats
-            .entry("self-healing".to_owned())
-            .or_default();
-        entry.fallback_fresh_grounds = self.telemetry.fallback_fresh_grounds;
-        entry.solver_restarts = self.telemetry.solver_restarts;
     }
 }
 

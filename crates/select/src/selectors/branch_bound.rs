@@ -131,7 +131,7 @@ impl Selector for BranchBound {
         // Heaviest covers first: good incumbents early ⇒ tighter pruning.
         order.sort_by(|&a, &b| {
             let mass = |c: usize| -> f64 { model.covers[c].iter().map(|&(_, d)| d).sum() };
-            mass(b).partial_cmp(&mass(a)).expect("cover mass is finite")
+            mass(b).total_cmp(&mass(a))
         });
         // Suffix max-cover table.
         let n = order.len();
@@ -193,6 +193,18 @@ mod tests {
             .unwrap();
         assert!(sel.selected.is_empty());
         assert!((sel.objective - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nan_cover_mass_selects_without_panicking() {
+        // `covers` is public, so a caller can hand in a non-finite degree;
+        // ordering by cover mass must not panic on it.
+        let (mut model, _) = known_optimum_model();
+        model.covers[1][0].1 = f64::NAN;
+        let sel = BranchBound::default()
+            .select(&model, &ObjectiveWeights::unweighted())
+            .unwrap();
+        assert!(sel.selected.iter().all(|&c| c < model.num_candidates));
     }
 
     #[test]

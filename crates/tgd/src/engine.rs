@@ -30,9 +30,9 @@
 //! [`ChaseError`] before anything fires.
 
 use crate::chase::{prepare_plans, ChaseError, FirePlan};
-use crate::chase_stats::ChaseStats;
 use crate::dependency::StTgd;
 use crate::trie::{BodyTrie, CanonAtom, CanonTerm, TrieNode};
+use crate::ChaseStats;
 use cms_data::{ColIndexRef, FxHashMap, Instance, NullFactory, RelId, Rows, Tuple, Value};
 use std::time::Instant;
 

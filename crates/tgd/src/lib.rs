@@ -16,7 +16,6 @@
 pub mod atom;
 pub mod builder;
 pub mod chase;
-pub mod chase_stats;
 pub mod core;
 pub mod dependency;
 pub mod engine;
@@ -32,7 +31,7 @@ pub use chase::{
     chase, chase_canonical, chase_into, chase_one, chase_one_canonical, prepare_plans, try_chase,
     try_chase_into, try_chase_one, ChaseError, FirePlan,
 };
-pub use chase_stats::ChaseStats;
+pub use cms_obs::ChaseStats;
 pub use core::{core_of, is_core};
 pub use dependency::{StTgd, TgdError};
 pub use engine::ChaseEngine;
