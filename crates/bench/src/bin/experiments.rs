@@ -288,6 +288,7 @@ fn ex6() {
         "psl ms",
         "greedy ms",
         "b&b ms",
+        "b&b nodes",
         "b&b note",
     ]);
     for n in [1usize, 2, 4, 8] {
@@ -331,6 +332,7 @@ fn ex6() {
             format!("{psl_ms:.0}"),
             format!("{greedy_ms:.0}"),
             format!("{bb_ms:.0}"),
+            bb_sel.evaluations.to_string(),
             if bb_sel.note.is_empty() {
                 "exact".into()
             } else {

@@ -315,6 +315,22 @@ impl CoverageModel {
             .collect()
     }
 
+    /// The inverse of [`ErrorGroup::creators`]: for each candidate, the
+    /// indices of the error groups it creates, ascending and each once
+    /// (even when a group lists the candidate as a creator twice).
+    pub fn groups_by_candidate(&self) -> Vec<Vec<usize>> {
+        let mut by_candidate = vec![Vec::new(); self.num_candidates];
+        for (g, group) in self.errors.iter().enumerate() {
+            for &c in &group.creators {
+                let groups = &mut by_candidate[c];
+                if groups.last() != Some(&g) {
+                    groups.push(g);
+                }
+            }
+        }
+        by_candidate
+    }
+
     /// Candidates with no positive cover: they can only add errors and
     /// size, so no optimal selection includes them.
     pub fn useless_candidates(&self) -> Vec<usize> {
@@ -452,6 +468,31 @@ pub(crate) mod tests {
         // two creators — charged once per Eq. (1)'s sum over K_C − J.
         assert_eq!(model.errors.len(), 1);
         assert_eq!(model.errors[0].creators, vec![0, 1]);
+    }
+
+    #[test]
+    fn groups_by_candidate_inverts_creators_once_each() {
+        let group = |creators: Vec<usize>| ErrorGroup {
+            creators,
+            example: Tuple::ground(cms_data::RelId(0), &["err"]),
+        };
+        let model = CoverageModel {
+            num_candidates: 4,
+            targets: Vec::new(),
+            sizes: vec![1; 4],
+            covers: vec![Vec::new(); 4],
+            errors: vec![
+                group(vec![2, 0]),
+                group(vec![1, 1]),
+                group(vec![0, 2, 0]),
+                group(vec![2]),
+            ],
+            error_counts: vec![0; 4],
+        };
+        assert_eq!(
+            model.groups_by_candidate(),
+            vec![vec![0, 2], vec![1], vec![0, 2, 3], vec![]]
+        );
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! naive evaluator is `O(|selection| · covers)` per call, which makes those
 //! selectors quadratic-ish in candidate count. This evaluator maintains the
 //! selection state so that *applying* or *probing* a single add/remove is
-//! proportional to the touched candidate's cover list (plus its error
-//! groups), not the whole model:
+//! proportional to the touched candidate's cover list plus its error
+//! groups, not the whole model:
 //!
 //! * per target: the multiset of cover degrees of selected candidates,
 //!   as a count-indexed max structure (degrees are few and reused, so a
 //!   sorted `Vec<(degree, count)>` per target stays tiny);
-//! * per error group: how many selected creators it has;
+//! * per error group: how many selected creators it has, reached through
+//!   [`CoverageModel::groups_by_candidate`] (built once, in `new`);
 //! * running totals for the three components.
 //!
 //! Equivalence with [`crate::objective::Objective`] is enforced by a
@@ -24,6 +25,8 @@ pub struct IncrementalObjective<'a> {
     model: &'a CoverageModel,
     weights: ObjectiveWeights,
     selected: Vec<bool>,
+    /// Error groups per candidate, ascending.
+    groups: Vec<Vec<usize>>,
     /// Per target: selected cover degrees, descending, with multiplicity.
     target_degrees: Vec<Vec<(f64, usize)>>,
     /// Per error group: number of selected creators.
@@ -43,6 +46,7 @@ impl<'a> IncrementalObjective<'a> {
             model,
             weights,
             selected: vec![false; model.num_candidates],
+            groups: model.groups_by_candidate(),
             target_degrees: vec![Vec::new(); model.num_targets()],
             group_hits: vec![0; model.errors.len()],
             explained_sum: 0.0,
@@ -99,13 +103,11 @@ impl<'a> IncrementalObjective<'a> {
             let new_max = degrees[0].0;
             self.explained_sum += new_max - old_max;
         }
-        for (g, group) in self.model.errors.iter().enumerate() {
-            if group.creators.contains(&c) {
-                if self.group_hits[g] == 0 {
-                    self.errors += 1;
-                }
-                self.group_hits[g] += 1;
+        for &g in &self.groups[c] {
+            if self.group_hits[g] == 0 {
+                self.errors += 1;
             }
+            self.group_hits[g] += 1;
         }
     }
 
@@ -122,12 +124,10 @@ impl<'a> IncrementalObjective<'a> {
             let new_max = degrees.first().map_or(0.0, |&(m, _)| m);
             self.explained_sum += new_max - old_max;
         }
-        for (g, group) in self.model.errors.iter().enumerate() {
-            if group.creators.contains(&c) {
-                self.group_hits[g] -= 1;
-                if self.group_hits[g] == 0 {
-                    self.errors -= 1;
-                }
+        for &g in &self.groups[c] {
+            self.group_hits[g] -= 1;
+            if self.group_hits[g] == 0 {
+                self.errors -= 1;
             }
         }
     }
@@ -145,8 +145,8 @@ impl<'a> IncrementalObjective<'a> {
                 delta -= self.weights.w_explain * (d - cur);
             }
         }
-        for (g, group) in self.model.errors.iter().enumerate() {
-            if self.group_hits[g] == 0 && group.creators.contains(&c) {
+        for &g in &self.groups[c] {
+            if self.group_hits[g] == 0 {
                 delta += self.weights.w_error;
             }
         }
@@ -169,8 +169,8 @@ impl<'a> IncrementalObjective<'a> {
                 delta += self.weights.w_explain * (cur - after);
             }
         }
-        for (g, group) in self.model.errors.iter().enumerate() {
-            if self.group_hits[g] == 1 && group.creators.contains(&c) {
+        for &g in &self.groups[c] {
+            if self.group_hits[g] == 1 {
                 delta -= self.weights.w_error;
             }
         }

@@ -75,17 +75,18 @@ pub struct LearnedWeights {
 /// Grid-search the objective weights on labeled training scenarios.
 ///
 /// Ties are broken toward the default weights first, then grid order, so
-/// learning never moves away from the default without evidence.
+/// learning never moves away from the default without evidence. An empty
+/// `scenarios` slice is [`SelectError::NoTrainingScenarios`]; a selector
+/// failure is passed through.
 pub fn learn_weights(
     scenarios: &[Scenario],
     selector: &dyn Selector,
     grid: &WeightGrid,
     metric: LearnMetric,
 ) -> Result<LearnedWeights, SelectError> {
-    assert!(
-        !scenarios.is_empty(),
-        "weight learning needs at least one scenario"
-    );
+    if scenarios.is_empty() {
+        return Err(SelectError::NoTrainingScenarios);
+    }
     let score_of = |weights: &ObjectiveWeights| -> Result<f64, SelectError> {
         let mut total = 0.0;
         for s in scenarios {
@@ -188,9 +189,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one scenario")]
-    fn empty_training_panics() {
-        let _ = learn_weights(&[], &Greedy, &WeightGrid::default(), LearnMetric::MappingF1);
+    fn empty_training_is_an_error() {
+        let err = learn_weights(&[], &Greedy, &WeightGrid::default(), LearnMetric::MappingF1)
+            .unwrap_err();
+        assert_eq!(err, SelectError::NoTrainingScenarios);
+        assert!(err.to_string().contains("at least one scenario"));
     }
 
     #[test]

@@ -59,6 +59,32 @@ impl<'a> Objective<'a> {
     /// # Panics
     /// Panics if the mask length differs from the candidate count.
     pub fn value_mask(&self, selected: &[bool]) -> f64 {
+        let (unexplained, errors, size) = self.components_mask(selected);
+        self.weights.w_explain * unexplained
+            + self.weights.w_error * errors
+            + self.weights.w_size * size
+    }
+
+    /// Evaluate `F` for a selection given as candidate indices.
+    pub fn value(&self, selection: &[usize]) -> f64 {
+        self.value_mask(&self.mask(selection))
+    }
+
+    /// The three objective components `(unexplained, errors, size)` for a
+    /// selection — the columns of the appendix's example table.
+    pub fn components(&self, selection: &[usize]) -> (f64, f64, f64) {
+        self.components_mask(&self.mask(selection))
+    }
+
+    fn mask(&self, selection: &[usize]) -> Vec<bool> {
+        let mut mask = vec![false; self.model.num_candidates];
+        for &c in selection {
+            mask[c] = true;
+        }
+        mask
+    }
+
+    fn components_mask(&self, selected: &[bool]) -> (f64, f64, f64) {
         assert_eq!(
             selected.len(),
             self.model.num_candidates,
@@ -84,47 +110,6 @@ impl<'a> Objective<'a> {
             .errors
             .iter()
             .filter(|g| g.creators.iter().any(|&c| selected[c]))
-            .count() as f64;
-        self.weights.w_explain * unexplained
-            + self.weights.w_error * errors
-            + self.weights.w_size * size as f64
-    }
-
-    /// Evaluate `F` for a selection given as candidate indices.
-    pub fn value(&self, selection: &[usize]) -> f64 {
-        let mut mask = vec![false; self.model.num_candidates];
-        for &c in selection {
-            mask[c] = true;
-        }
-        self.value_mask(&mask)
-    }
-
-    /// The three objective components `(unexplained, errors, size)` for a
-    /// selection — the columns of the appendix's example table.
-    pub fn components(&self, selection: &[usize]) -> (f64, f64, f64) {
-        let mut mask = vec![false; self.model.num_candidates];
-        for &c in selection {
-            mask[c] = true;
-        }
-        let mut best = vec![0.0f64; self.model.num_targets()];
-        let mut size = 0usize;
-        for (c, &is_in) in mask.iter().enumerate() {
-            if !is_in {
-                continue;
-            }
-            size += self.model.sizes[c];
-            for &(t, d) in &self.model.covers[c] {
-                if d > best[t] {
-                    best[t] = d;
-                }
-            }
-        }
-        let unexplained: f64 = best.iter().map(|d| 1.0 - d).sum();
-        let errors = self
-            .model
-            .errors
-            .iter()
-            .filter(|g| g.creators.iter().any(|&c| mask[c]))
             .count() as f64;
         (unexplained, errors, size as f64)
     }

@@ -5,16 +5,36 @@
 //! grow with what can only shrink:
 //!
 //! ```text
-//! bound = w1 · Σ_t (1 − bestcov_optimistic(t))   // all undecided included for free
-//!       + w2 · errors(included so far)            // errors only grow
-//!       + w3 · size(included so far)              // size only grows
+//! bound = w1 · Σ_t (1 − max(cur(t), suffix_i(t)))  // undecided included for free
+//!       + w2 · errors(included so far)              // errors only grow
+//!       + w3 · size(included so far)                // size only grows
 //! ```
 //!
-//! The bound is admissible: any completion of the node has objective ≥
-//! bound, so pruning at `bound ≥ best` preserves exactness. Mapping
-//! selection is NP-hard (appendix §III), so worst-case time remains
-//! exponential — but the bound collapses most of the search space on the
-//! scenario families we generate.
+//! where `cur(t)` is the best cover of `t` by the included candidates and
+//! `suffix_i(t)` the best cover by any undecided one. The bound is
+//! admissible: any completion of the node has objective ≥ bound, so
+//! pruning at `bound ≥ best` preserves exactness. Mapping selection is
+//! NP-hard (appendix §III), so worst-case time remains exponential — but
+//! the bound collapses most of the search space on the scenario families
+//! we generate.
+//!
+//! A node costs O(|covers(θ)| + |groups(θ)|) for its candidate θ, not
+//! O(|J| + |groups|): the search keeps its state incrementally.
+//!
+//! * `cur_cover` is raised on include over `covers(θ)` and restored from
+//!   one reused `touched` stack on backtrack.
+//! * `group_hits` counts the included creators of each error group
+//!   (through [`CoverageModel::groups_by_candidate`]), and `cur_errors`
+//!   the groups with a hit; both are undone on backtrack.
+//! * The optimistic sum is passed to each child by value. The include
+//!   child inherits it unchanged (θ's covers move from the suffix into
+//!   `cur`, so no `max` changes); the exclude child adjusts it only at the
+//!   targets where θ raised the suffix maximum. Float drift therefore
+//!   accumulates along one path only, at most depth ulps, far below the
+//!   1e-12 prune slack.
+//!
+//! Leaves still sum `1 − cur(t)` over every target, so incumbent values
+//! are exact.
 
 use super::{useful_candidates, SelectError, Selection, Selector};
 use crate::coverage::CoverageModel;
@@ -33,8 +53,20 @@ struct Search<'a> {
     model: &'a CoverageModel,
     weights: ObjectiveWeights,
     order: Vec<usize>,
-    /// suffix_cover[i][t] = max cover of t over order[i..].
-    suffix_cover: Vec<Vec<f64>>,
+    /// `raised[i]`: the `(t, lo, hi)` steps by which `order[i]` raised the
+    /// suffix max-cover of `t` from `lo` (over `order[i+1..]`) to `hi`.
+    raised: Vec<Vec<(usize, f64, f64)>>,
+    /// Error groups per candidate ([`CoverageModel::groups_by_candidate`]).
+    groups: Vec<Vec<usize>>,
+    /// Best cover of each target by the included candidates.
+    cur_cover: Vec<f64>,
+    /// Included creators per error group.
+    group_hits: Vec<usize>,
+    /// Error groups with at least one included creator.
+    cur_errors: usize,
+    /// `(target, previous cover)` entries to restore on backtrack.
+    touched: Vec<(usize, f64)>,
+    included: Vec<usize>,
     best_value: f64,
     best_set: Vec<usize>,
     nodes: usize,
@@ -43,48 +75,32 @@ struct Search<'a> {
 }
 
 impl Search<'_> {
-    /// DFS at position `i` with `included` the chosen candidates so far,
-    /// `cur_cover[t]` their best covers, `cur_errors`/`cur_size` their
-    /// error-group count and total size.
-    fn dfs(
-        &mut self,
-        i: usize,
-        included: &mut Vec<usize>,
-        cur_cover: &mut Vec<f64>,
-        cur_size: f64,
-    ) {
+    /// DFS at position `i`. `included`, `cur_cover` and `cur_errors` hold
+    /// the state of the decisions so far; `optimistic` is
+    /// `Σ_t 1 − max(cur_cover[t], suffix_i(t))` and `cur_size` the total
+    /// size of the included candidates.
+    fn dfs(&mut self, i: usize, optimistic: f64, cur_size: f64) {
         self.nodes += 1;
         if self.nodes > self.budget {
             self.truncated = true;
             return;
         }
-        // Errors only depend on the included set; recompute sparsely.
-        let cur_errors = self
-            .model
-            .errors
-            .iter()
-            .filter(|g| g.creators.iter().any(|c| included.contains(c)))
-            .count() as f64;
+        let cur_errors = self.cur_errors as f64;
 
         // Leaf: exact objective.
         if i == self.order.len() {
-            let unexplained: f64 = cur_cover.iter().map(|d| 1.0 - d).sum();
+            let unexplained: f64 = self.cur_cover.iter().map(|d| 1.0 - d).sum();
             let value = self.weights.w_explain * unexplained
                 + self.weights.w_error * cur_errors
                 + self.weights.w_size * cur_size;
             if value < self.best_value {
                 self.best_value = value;
-                self.best_set = included.clone();
+                self.best_set = self.included.clone();
             }
             return;
         }
 
         // Lower bound with all remaining candidates included for free.
-        let optimistic: f64 = cur_cover
-            .iter()
-            .zip(self.suffix_cover[i].iter())
-            .map(|(&cur, &suf)| 1.0 - cur.max(suf))
-            .sum();
         let bound = self.weights.w_explain * optimistic
             + self.weights.w_error * cur_errors
             + self.weights.w_size * cur_size;
@@ -92,28 +108,42 @@ impl Search<'_> {
             return;
         }
 
+        let model = self.model;
         let cand = self.order[i];
         // Branch 1: include.
-        let mut touched: Vec<(usize, f64)> = Vec::new();
-        for &(t, d) in &self.model.covers[cand] {
-            if d > cur_cover[t] {
-                touched.push((t, cur_cover[t]));
-                cur_cover[t] = d;
+        let mark = self.touched.len();
+        for &(t, d) in &model.covers[cand] {
+            if d > self.cur_cover[t] {
+                self.touched.push((t, self.cur_cover[t]));
+                self.cur_cover[t] = d;
             }
         }
-        included.push(cand);
-        self.dfs(
-            i + 1,
-            included,
-            cur_cover,
-            cur_size + self.model.sizes[cand] as f64,
-        );
-        included.pop();
-        for (t, old) in touched {
-            cur_cover[t] = old;
+        for &g in &self.groups[cand] {
+            if self.group_hits[g] == 0 {
+                self.cur_errors += 1;
+            }
+            self.group_hits[g] += 1;
         }
-        // Branch 2: exclude.
-        self.dfs(i + 1, included, cur_cover, cur_size);
+        self.included.push(cand);
+        self.dfs(i + 1, optimistic, cur_size + model.sizes[cand] as f64);
+        self.included.pop();
+        for &g in &self.groups[cand] {
+            self.group_hits[g] -= 1;
+            if self.group_hits[g] == 0 {
+                self.cur_errors -= 1;
+            }
+        }
+        for (t, old) in self.touched.drain(mark..).rev() {
+            self.cur_cover[t] = old;
+        }
+        // Branch 2: exclude — the suffix drops back at the targets
+        // `cand` raised.
+        let mut excluded = optimistic;
+        for &(t, lo, hi) in &self.raised[i] {
+            let cur = self.cur_cover[t];
+            excluded += cur.max(hi) - cur.max(lo);
+        }
+        self.dfs(i + 1, excluded, cur_size);
     }
 }
 
@@ -133,19 +163,20 @@ impl Selector for BranchBound {
             let mass = |c: usize| -> f64 { model.covers[c].iter().map(|&(_, d)| d).sum() };
             mass(b).total_cmp(&mass(a))
         });
-        // Suffix max-cover table.
-        let n = order.len();
+        // Suffix max-cover, built from the back; only its raises are kept.
         let nt = model.num_targets();
-        let mut suffix_cover = vec![vec![0.0f64; nt]; n + 1];
-        for i in (0..n).rev() {
-            let mut row = suffix_cover[i + 1].clone();
-            for &(t, d) in &model.covers[order[i]] {
-                if d > row[t] {
-                    row[t] = d;
+        let mut suffix = vec![0.0f64; nt];
+        let mut raised = vec![Vec::new(); order.len()];
+        for (i, &c) in order.iter().enumerate().rev() {
+            for &(t, d) in &model.covers[c] {
+                if d > suffix[t] {
+                    raised[i].push((t, suffix[t], d));
+                    suffix[t] = d;
                 }
             }
-            suffix_cover[i] = row;
         }
+        // Nothing is included at the root, so max(cur, suffix) = suffix.
+        let optimistic: f64 = suffix.iter().map(|suf| 1.0 - suf).sum();
 
         let objective = Objective::new(model, *weights);
         let empty_value = objective.value(&[]);
@@ -153,16 +184,20 @@ impl Selector for BranchBound {
             model,
             weights: *weights,
             order,
-            suffix_cover,
+            raised,
+            groups: model.groups_by_candidate(),
+            cur_cover: vec![0.0; nt],
+            group_hits: vec![0; model.errors.len()],
+            cur_errors: 0,
+            touched: Vec::new(),
+            included: Vec::new(),
             best_value: empty_value,
             best_set: Vec::new(),
             nodes: 0,
             budget: self.node_budget.unwrap_or(usize::MAX),
             truncated: false,
         };
-        let mut cover = vec![0.0f64; nt];
-        let mut included = Vec::new();
-        search.dfs(0, &mut included, &mut cover, 0.0);
+        search.dfs(0, optimistic, 0.0);
 
         let mut sel = Selection::new(search.best_set, search.best_value, search.nodes);
         if search.truncated {
@@ -257,6 +292,23 @@ mod tests {
         // Full tree would be 2^5 - 1 internal+leaf nodes per root... just
         // assert the node count is bounded by the full enumeration count.
         assert!(bb.evaluations <= 31, "nodes = {}", bb.evaluations);
+    }
+
+    /// Node counts and selections pinned at the full-rescan implementation:
+    /// the incremental node state must not change what the search visits,
+    /// so a change here is a change to the bound or the order. The EX6
+    /// scenario pin lives in `tests/branch_bound_nodes.rs`.
+    #[test]
+    fn node_counts_and_selections_are_pinned() {
+        let w = ObjectiveWeights::unweighted();
+        let (model, _) = known_optimum_model();
+        let sel = BranchBound::default().select(&model, &w).unwrap();
+        assert_eq!((sel.evaluations, sel.selected), (21, vec![0, 2]));
+
+        let sel = BranchBound::default()
+            .select(&appendix_model(), &w)
+            .unwrap();
+        assert_eq!((sel.evaluations, sel.selected), (5, vec![]));
     }
 
     #[test]

@@ -27,21 +27,28 @@ pub use psl_collective::PslCollective;
 use crate::coverage::CoverageModel;
 use crate::objective::ObjectiveWeights;
 
-/// Why a selector could not produce a selection.
+/// Why a selector (or weight learning over selectors) could not produce a
+/// result.
 ///
 /// The paper's collective selector compiles the coverage model into a PSL
 /// program; compilation or grounding failures surface here instead of
-/// aborting the process (selectors used to `.expect()` on them).
+/// aborting the process (selectors used to `.expect()` on them), and so
+/// does [`crate::learn_weights`] on an empty training set.
 #[derive(Clone, PartialEq, Debug)]
 pub enum SelectError {
     /// The PSL program failed to ground.
     Grounding(cms_psl::GroundingError),
+    /// Weight learning was given no training scenarios.
+    NoTrainingScenarios,
 }
 
 impl std::fmt::Display for SelectError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SelectError::Grounding(e) => write!(f, "selection failed: {e}"),
+            SelectError::NoTrainingScenarios => {
+                write!(f, "weight learning needs at least one scenario")
+            }
         }
     }
 }
@@ -50,6 +57,7 @@ impl std::error::Error for SelectError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SelectError::Grounding(e) => Some(e),
+            SelectError::NoTrainingScenarios => None,
         }
     }
 }

@@ -10,7 +10,9 @@ use cms_select::{
 };
 use proptest::prelude::*;
 
-/// A random coverage model with `n_cand ≤ 7`, `n_targets ≤ 8`.
+/// A random coverage model with `n_cand ≤ 7`, `n_targets ≤ 8`. Error
+/// groups may list a creator more than once (`creators` is public and
+/// nothing forbids it); each such group still counts once.
 fn arb_model() -> impl Strategy<Value = CoverageModel> {
     let n_cand = 1usize..=7;
     let n_tgt = 1usize..=8;
@@ -36,18 +38,17 @@ fn arb_model() -> impl Strategy<Value = CoverageModel> {
                 .collect();
             let errors: Vec<ErrorGroup> = errors
                 .into_iter()
-                .map(|mut creators| {
-                    creators.sort_unstable();
-                    creators.dedup();
-                    ErrorGroup {
-                        creators,
-                        example: Tuple::ground(RelId(0), &["err"]),
-                    }
+                .map(|creators| ErrorGroup {
+                    creators,
+                    example: Tuple::ground(RelId(0), &["err"]),
                 })
                 .collect();
             let mut error_counts = vec![0usize; nc];
             for g in &errors {
-                for &c in &g.creators {
+                let mut distinct = g.creators.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                for c in distinct {
                     error_counts[c] += 1;
                 }
             }
@@ -62,6 +63,17 @@ fn arb_model() -> impl Strategy<Value = CoverageModel> {
                 error_counts,
             }
         })
+    })
+}
+
+/// Random objective weights, each in `[0, 3)`.
+fn arb_weights() -> impl Strategy<Value = ObjectiveWeights> {
+    (0.0f64..3.0, 0.0f64..3.0, 0.0f64..3.0).prop_map(|(w_explain, w_error, w_size)| {
+        ObjectiveWeights {
+            w_explain,
+            w_error,
+            w_size,
+        }
     })
 }
 
@@ -83,14 +95,19 @@ proptest! {
         prop_assert!(f.value(&all) >= s - 1e-9);
     }
 
-    /// Exhaustive and branch-and-bound agree exactly.
+    /// Exhaustive and branch-and-bound agree exactly, unweighted and
+    /// weighted.
     #[test]
-    fn exact_selectors_agree(model in arb_model()) {
-        let w = ObjectiveWeights::unweighted();
-        let ex = Exhaustive::default().select(&model, &w).unwrap();
-        let bb = BranchBound::default().select(&model, &w).unwrap();
-        prop_assert!((ex.objective - bb.objective).abs() < 1e-9,
-            "exhaustive {} vs bb {}", ex.objective, bb.objective);
+    fn exact_selectors_agree(model in arb_model(), weighted in arb_weights()) {
+        for w in [ObjectiveWeights::unweighted(), weighted] {
+            let ex = Exhaustive::default().select(&model, &w).unwrap();
+            let bb = BranchBound::default().select(&model, &w).unwrap();
+            prop_assert!((ex.objective - bb.objective).abs() < 1e-9,
+                "exhaustive {} vs bb {} at {w:?}", ex.objective, bb.objective);
+            let f = Objective::new(&model, w);
+            prop_assert!((f.value(&bb.selected) - bb.objective).abs() < 1e-9,
+                "bb misreports its own objective at {w:?}");
+        }
     }
 
     /// No heuristic ever reports a better value than the exact optimum,
@@ -158,9 +175,9 @@ proptest! {
     #[test]
     fn incremental_matches_naive(
         model in arb_model(),
+        w in arb_weights(),
         ops in prop::collection::vec((0usize..7, any::<bool>()), 1..24),
     ) {
-        let w = ObjectiveWeights::unweighted();
         let naive = Objective::new(&model, w);
         let mut inc = IncrementalObjective::new(&model, w);
         for (raw, add) in ops {
