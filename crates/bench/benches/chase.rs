@@ -1,7 +1,9 @@
 //! Criterion bench: chase throughput (canonical universal solutions).
 //!
-//! Feeds EX6's cost model: the per-candidate chase dominates coverage-model
-//! construction, which in turn dominates everything but ADMM at scale.
+//! Feeds EX6's cost model. The per-candidate chase is the smaller half of
+//! coverage-model construction: before scoring went through the target's
+//! column index, scoring cost about 300× the chase at 100 rows per
+//! relation, and it is still the larger half (see the `coverage` bench).
 //!
 //! Per `all_primitives` size:
 //!
@@ -51,8 +53,7 @@ fn bench_chase(c: &mut Criterion) {
         );
 
         // The candidate-set chase behind CoverageModel::build: one
-        // solution per candgen-emitted candidate, over a larger source
-        // (the regime where the per-candidate chase dominates selection).
+        // solution per candgen-emitted candidate, over a larger source.
         let big_config = ScenarioConfig {
             rows_per_relation: 100,
             ..config

@@ -20,8 +20,23 @@
 //! Ground error tuples identical across candidates are merged into one
 //! error *group* charged once per selection, matching `Σ_{t ∈ K_C − J}` of
 //! Eq. (1).
+//!
+//! ## Cost
+//!
+//! [`CoverageModel::from_solutions`] examines each (chased tuple, target)
+//! pair at most once. A chased tuple probes the target relation's column
+//! index on its most selective constant (the shortest posting list) and
+//! tests only the rows posted there; a tuple of nulls alone falls back to
+//! the relation's rows. While matching, each induced `n ↦ c` records its
+//! first inducing tuple and whether another tuple induces it too, so
+//! support is one table lookup once all matches are in — nothing is
+//! re-scanned. Scoring a candidate costs O(probed rows), which on iBench
+//! scenarios is about 1.4× the matches. The matches themselves grow about
+//! as |J|² on that generator, so no exact scorer is linear in |J|.
+//! [`CoverageModel::from_solutions_reference`] keeps the scan-and-re-scan
+//! scorer this replaced as the test oracle.
 
-use cms_data::{tuple_match, FxHashMap, Instance, NullId, Tuple, Value};
+use cms_data::{tuple_match, ColIndexRef, FxHashMap, Instance, NullId, RelId, Rows, Tuple, Value};
 use cms_tgd::{chase_one, core_of, ChaseEngine, ChaseError, ChaseStats, StTgd};
 use std::collections::BTreeMap;
 
@@ -63,6 +78,129 @@ pub struct CoverageModel {
     pub error_counts: Vec<usize>,
 }
 
+/// One target relation as [`CoverageModel::from_solutions`] probes it.
+struct TargetRel<'a> {
+    /// Position in `targets` of the relation's first row.
+    offset: usize,
+    rows: Rows<'a>,
+    index: ColIndexRef<'a>,
+}
+
+impl TargetRel<'_> {
+    /// Call `f(target index, row)` for every row `k` matches, in ascending
+    /// target order. Only the rows posted under `k`'s most selective
+    /// constant are examined; a tuple of nulls alone examines every row.
+    fn for_each_match(&self, k: &[Value], mut f: impl FnMut(usize, &[Value])) {
+        let mut probe: Option<&[u32]> = None;
+        for (col, v) in k.iter().enumerate() {
+            if v.is_const() {
+                let postings = self.index.postings(col, v);
+                if probe.is_none_or(|p| postings.len() < p.len()) {
+                    probe = Some(postings);
+                }
+            }
+        }
+        let mut visit = |pos: usize| {
+            let row = self.rows.row(pos);
+            if matches(k, row) {
+                f(self.offset + pos, row);
+            }
+        };
+        match probe {
+            Some(postings) => postings.iter().for_each(|&pos| visit(pos as usize)),
+            None => (0..self.rows.len()).for_each(visit),
+        }
+    }
+}
+
+/// `tuple_match(k, t).is_some()` without building the assignment: equal
+/// arity, `t` ground, every constant of `k` agrees, and a repeated null
+/// sees equal values.
+fn matches(k: &[Value], t: &[Value]) -> bool {
+    k.len() == t.len()
+        && k.iter().zip(t).enumerate().all(|(col, (kv, tv))| {
+            tv.is_const()
+                && match kv {
+                    Value::Const(_) => kv == tv,
+                    Value::Null(_) => k[..col]
+                        .iter()
+                        .position(|v| v == kv)
+                        .is_none_or(|first| t[first] == *tv),
+                }
+        })
+}
+
+/// The chased tuples of one candidate that induce a null assignment
+/// `n ↦ c`: the first to do so, and whether any other tuple does too.
+#[derive(Clone, Copy, Debug)]
+struct Inducers {
+    first: usize,
+    others: bool,
+}
+
+impl Inducers {
+    /// Whether a tuple other than `asking` induces the assignment — the
+    /// support rule of the module doc.
+    fn supports(self, asking: usize) -> bool {
+        self.others || self.first != asking
+    }
+}
+
+/// Unmatched chased tuples, grouped as [`CoverageModel::errors`] lists
+/// them: ground tuples merged across candidates (in tuple order), then
+/// null tuples one group each (in discovery order).
+#[derive(Default)]
+struct ErrorCollector {
+    ground: BTreeMap<Tuple, Vec<usize>>,
+    null: Vec<ErrorGroup>,
+}
+
+impl ErrorCollector {
+    fn push(&mut self, candidate: usize, tuple: Tuple) {
+        if tuple.is_ground() {
+            self.ground.entry(tuple).or_default().push(candidate);
+        } else {
+            self.null.push(ErrorGroup {
+                creators: vec![candidate],
+                example: tuple,
+            });
+        }
+    }
+
+    fn into_model(
+        self,
+        num_candidates: usize,
+        targets: Vec<Tuple>,
+        sizes: Vec<usize>,
+        covers: Vec<Vec<(usize, f64)>>,
+    ) -> CoverageModel {
+        let mut errors: Vec<ErrorGroup> = self
+            .ground
+            .into_iter()
+            .map(|(example, mut creators)| {
+                creators.sort_unstable();
+                creators.dedup();
+                ErrorGroup { creators, example }
+            })
+            .collect();
+        errors.extend(self.null);
+        let mut error_counts = vec![0usize; num_candidates];
+        for g in &errors {
+            for &c in &g.creators {
+                error_counts[c] += 1;
+            }
+        }
+        CoverageModel {
+            num_candidates,
+            targets,
+            sizes,
+            covers,
+            errors,
+            error_counts,
+        }
+    }
+}
+
 impl CoverageModel {
     /// Build the model by chasing each candidate over `source` and
     /// comparing against `target` (canonical solutions, as in the paper).
@@ -100,19 +238,21 @@ impl CoverageModel {
         CoverageModel::build_with_stats(source, target, candidates, options).map(|(m, _)| m)
     }
 
-    /// Reference implementation: per-candidate naive [`chase_one`] loop,
-    /// kept for equivalence testing against the engine-backed build.
+    /// Reference implementation: per-candidate naive [`chase_one`] loop
+    /// scored by [`CoverageModel::from_solutions_reference`], the
+    /// scan-every-target scorer. Kept as the test oracle for the engine
+    /// chase and the indexed scorer together.
     pub fn build_reference(
         source: &Instance,
         target: &Instance,
         candidates: &[StTgd],
         options: &CoverageOptions,
     ) -> CoverageModel {
-        let solutions = candidates
+        let solutions: Vec<Instance> = candidates
             .iter()
             .map(|tgd| chase_one(source, tgd))
             .collect();
-        CoverageModel::from_solutions(target, candidates, solutions, options)
+        CoverageModel::from_solutions_reference(target, candidates, &solutions, options)
     }
 
     /// Engine-backed build that also reports the batch-chase work counters
@@ -125,17 +265,128 @@ impl CoverageModel {
     ) -> Result<(CoverageModel, ChaseStats), ChaseError> {
         let engine = ChaseEngine::new(candidates)?;
         let (solutions, stats) = engine.chase_all_stats(source);
-        Ok((
-            CoverageModel::from_solutions(target, candidates, solutions, options),
-            stats,
-        ))
+        let model = {
+            let _span = cms_obs::span("coverage/score");
+            CoverageModel::from_solutions(target, candidates, &solutions, options)
+        };
+        Ok((model, stats))
     }
 
-    /// Score precomputed per-candidate universal solutions against `target`.
-    fn from_solutions(
+    /// Score precomputed per-candidate universal solutions (one per
+    /// candidate, in candidate order) against `target`.
+    ///
+    /// Each chased tuple probes the target's column index on its most
+    /// selective constant and examines only the rows posted there; null
+    /// support is read from a table filled while matching (module doc).
+    pub fn from_solutions(
         target: &Instance,
         candidates: &[StTgd],
-        solutions: Vec<Instance>,
+        solutions: &[Instance],
+        options: &CoverageOptions,
+    ) -> CoverageModel {
+        debug_assert_eq!(candidates.len(), solutions.len());
+        let mut rels: Vec<RelId> = target.populated_rels().collect();
+        rels.sort_unstable();
+        // `targets` lists relations in id order, rows in row order (as
+        // `iter_all` does), so row `pos` of `rel` is `targets[offset + pos]`.
+        let mut targets: Vec<Tuple> = Vec::with_capacity(target.total_len());
+        let mut by_rel: FxHashMap<RelId, TargetRel<'_>> = FxHashMap::default();
+        for rel in rels {
+            let rows = target.rows(rel);
+            let index = target.col_index(rel).expect("populated relation");
+            by_rel.insert(
+                rel,
+                TargetRel {
+                    offset: targets.len(),
+                    rows,
+                    index,
+                },
+            );
+            targets.extend(rows.iter().map(|row| Tuple::new(rel, row.to_vec())));
+        }
+
+        let mut covers: Vec<Vec<(usize, f64)>> = Vec::with_capacity(candidates.len());
+        let mut errors = ErrorCollector::default();
+        let mut sizes = Vec::with_capacity(candidates.len());
+        // Scratch reused across candidates: every (chased tuple, target)
+        // match, the support table, and the best degree per target.
+        let mut matches: Vec<(usize, usize)> = Vec::new();
+        let mut inducers: FxHashMap<(NullId, Value), Inducers> = FxHashMap::default();
+        let mut best = vec![0.0f64; targets.len()];
+        let mut touched: Vec<usize> = Vec::new();
+
+        for (cand_idx, (tgd, k)) in candidates.iter().zip(solutions).enumerate() {
+            sizes.push(tgd.size());
+            let cored;
+            let k = if options.use_core {
+                cored = core_of(k);
+                &cored
+            } else {
+                k
+            };
+            let k_rows: Vec<(RelId, &[Value])> = k.iter_all().collect();
+            matches.clear();
+            inducers.clear();
+            for (ki, &(rel, row)) in k_rows.iter().enumerate() {
+                let before = matches.len();
+                if let Some(target_rel) = by_rel.get(&rel) {
+                    target_rel.for_each_match(row, |ti, t| {
+                        matches.push((ki, ti));
+                        for (kv, tv) in row.iter().zip(t) {
+                            if let Value::Null(n) = kv {
+                                inducers
+                                    .entry((*n, *tv))
+                                    .and_modify(|i| i.others |= i.first != ki)
+                                    .or_insert(Inducers {
+                                        first: ki,
+                                        others: false,
+                                    });
+                            }
+                        }
+                    });
+                }
+                if matches.len() == before {
+                    errors.push(cand_idx, Tuple::new(rel, row.to_vec()));
+                }
+            }
+            for &(ki, ti) in &matches {
+                let row = k_rows[ki].1;
+                let hits = row
+                    .iter()
+                    .zip(&targets[ti].args)
+                    .filter(|&(kv, tv)| match kv {
+                        Value::Const(_) => true,
+                        Value::Null(n) => inducers[&(*n, *tv)].supports(ki),
+                    })
+                    .count();
+                let degree = (hits as f64 / row.len() as f64).min(1.0);
+                if degree > best[ti] {
+                    if best[ti] == 0.0 {
+                        touched.push(ti);
+                    }
+                    best[ti] = degree;
+                }
+            }
+            touched.sort_unstable();
+            covers.push(
+                touched
+                    .drain(..)
+                    .map(|ti| (ti, std::mem::take(&mut best[ti])))
+                    .collect(),
+            );
+        }
+        errors.into_model(candidates.len(), targets, sizes, covers)
+    }
+
+    /// The scan-every-target scorer [`CoverageModel::from_solutions`]
+    /// replaced: each chased tuple is tried against every target of its
+    /// relation, and each null assignment's support re-scans the targets
+    /// for every other tuple holding the null. Test and bench oracle only;
+    /// results are identical to [`CoverageModel::from_solutions`].
+    pub fn from_solutions_reference(
+        target: &Instance,
+        candidates: &[StTgd],
+        solutions: &[Instance],
         options: &CoverageOptions,
     ) -> CoverageModel {
         debug_assert_eq!(candidates.len(), solutions.len());
@@ -143,27 +394,28 @@ impl CoverageModel {
             .iter_all()
             .map(|(rel, row)| Tuple::new(rel, row.to_vec()))
             .collect();
-        // Target index per relation for fast match lookup.
-        let mut by_rel: FxHashMap<cms_data::RelId, Vec<usize>> = FxHashMap::default();
+        let mut by_rel: FxHashMap<RelId, Vec<usize>> = FxHashMap::default();
         for (i, t) in targets.iter().enumerate() {
             by_rel.entry(t.rel).or_default().push(i);
         }
 
         let mut covers: Vec<Vec<(usize, f64)>> = Vec::with_capacity(candidates.len());
-        let mut ground_errors: BTreeMap<Tuple, Vec<usize>> = BTreeMap::new();
-        let mut null_errors: Vec<ErrorGroup> = Vec::new();
+        let mut errors = ErrorCollector::default();
         let mut sizes = Vec::with_capacity(candidates.len());
 
-        for (cand_idx, (tgd, mut k)) in candidates.iter().zip(solutions).enumerate() {
+        for (cand_idx, (tgd, k)) in candidates.iter().zip(solutions).enumerate() {
             sizes.push(tgd.size());
-            if options.use_core {
-                k = core_of(&k);
-            }
+            let cored;
+            let k = if options.use_core {
+                cored = core_of(k);
+                &cored
+            } else {
+                k
+            };
             let k_tuples: Vec<Tuple> = k
                 .iter_all()
                 .map(|(rel, row)| Tuple::new(rel, row.to_vec()))
                 .collect();
-            // Occurrences of each null across K_θ.
             let mut null_occurrences: FxHashMap<NullId, Vec<usize>> = FxHashMap::default();
             for (ki, kt) in k_tuples.iter().enumerate() {
                 for v in &kt.args {
@@ -172,37 +424,22 @@ impl CoverageModel {
                     }
                 }
             }
-            // Support cache: is n ↦ c corroborated by a tuple other than
-            // the asking one? Support is a property of (n, c) pairs plus
-            // the asking tuple; since occurrences lists are tiny we check
-            // directly with an exclusion index.
             let mut support_cache: FxHashMap<(NullId, Value, usize), bool> = FxHashMap::default();
-            let mut is_supported = |n: NullId,
-                                    c: Value,
-                                    asking: usize,
-                                    k_tuples: &[Tuple],
-                                    null_occurrences: &FxHashMap<NullId, Vec<usize>>|
-             -> bool {
+            let mut is_supported = |n: NullId, c: Value, asking: usize| -> bool {
                 if let Some(&cached) = support_cache.get(&(n, c, asking)) {
                     return cached;
                 }
-                let mut supported = false;
-                if let Some(occs) = null_occurrences.get(&n) {
-                    'outer: for &other in occs {
-                        if other == asking {
-                            continue;
-                        }
+                let supported = null_occurrences.get(&n).is_some_and(|occs| {
+                    occs.iter().filter(|&&other| other != asking).any(|&other| {
                         let kt = &k_tuples[other];
-                        for ti in by_rel.get(&kt.rel).map_or(&[][..], Vec::as_slice) {
-                            if let Some(assignment) = tuple_match(&kt.args, &targets[*ti].args) {
-                                if assignment.get(&n) == Some(&c) {
-                                    supported = true;
-                                    break 'outer;
-                                }
-                            }
-                        }
-                    }
-                }
+                        by_rel.get(&kt.rel).is_some_and(|tis| {
+                            tis.iter().any(|&ti| {
+                                tuple_match(&kt.args, &targets[ti].args)
+                                    .is_some_and(|a| a.get(&n) == Some(&c))
+                            })
+                        })
+                    })
+                });
                 support_cache.insert((n, c, asking), supported);
                 supported
             };
@@ -210,46 +447,27 @@ impl CoverageModel {
             let mut cand_covers: FxHashMap<usize, f64> = FxHashMap::default();
             for (ki, kt) in k_tuples.iter().enumerate() {
                 let mut matched = false;
-                for ti in by_rel.get(&kt.rel).map_or(&[][..], Vec::as_slice) {
-                    let t = &targets[*ti];
-                    let Some(assignment) = tuple_match(&kt.args, &t.args) else {
+                for &ti in by_rel.get(&kt.rel).map_or(&[][..], Vec::as_slice) {
+                    let Some(assignment) = tuple_match(&kt.args, &targets[ti].args) else {
                         continue;
                     };
                     matched = true;
-                    let arity = kt.arity() as f64;
-                    let mut hits = 0usize;
-                    for (pos, v) in kt.args.iter().enumerate() {
-                        match v {
-                            Value::Const(_) => hits += 1,
-                            Value::Null(n) => {
-                                // Invariant: `assignment` came from
-                                // `tuple_match(&kt.args, ..)`, which maps
-                                // *every* null position of `kt.args` (the
-                                // slice `n` is drawn from) or returns
-                                // `None` — so the lookup cannot miss.
-                                let c = *assignment.get(n).expect("matched null has assignment");
-                                debug_assert_eq!(c, t.args[pos]);
-                                if is_supported(*n, c, ki, &k_tuples, &null_occurrences) {
-                                    hits += 1;
-                                }
-                            }
-                        }
-                    }
-                    let degree = (hits as f64 / arity).min(1.0);
-                    let entry = cand_covers.entry(*ti).or_insert(0.0);
+                    let hits = kt
+                        .args
+                        .iter()
+                        .filter(|v| match v {
+                            Value::Const(_) => true,
+                            Value::Null(n) => is_supported(*n, assignment[n], ki),
+                        })
+                        .count();
+                    let degree = (hits as f64 / kt.arity() as f64).min(1.0);
+                    let entry = cand_covers.entry(ti).or_insert(0.0);
                     if degree > *entry {
                         *entry = degree;
                     }
                 }
                 if !matched {
-                    if kt.is_ground() {
-                        ground_errors.entry(kt.clone()).or_default().push(cand_idx);
-                    } else {
-                        null_errors.push(ErrorGroup {
-                            creators: vec![cand_idx],
-                            example: kt.clone(),
-                        });
-                    }
+                    errors.push(cand_idx, kt.clone());
                 }
             }
             let mut list: Vec<(usize, f64)> =
@@ -257,32 +475,7 @@ impl CoverageModel {
             list.sort_by_key(|&(t, _)| t);
             covers.push(list);
         }
-
-        let mut errors: Vec<ErrorGroup> = ground_errors
-            .into_iter()
-            .map(|(example, mut creators)| {
-                creators.sort_unstable();
-                creators.dedup();
-                ErrorGroup { creators, example }
-            })
-            .collect();
-        errors.append(&mut null_errors);
-
-        let mut error_counts = vec![0usize; candidates.len()];
-        for g in &errors {
-            for &c in &g.creators {
-                error_counts[c] += 1;
-            }
-        }
-
-        CoverageModel {
-            num_candidates: candidates.len(),
-            targets,
-            sizes,
-            covers,
-            errors,
-            error_counts,
-        }
+        errors.into_model(candidates.len(), targets, sizes, covers)
     }
 
     /// Number of target tuples.
@@ -345,6 +538,7 @@ pub(crate) mod tests {
     use super::*;
     use cms_data::Schema;
     use cms_tgd::parse_tgd;
+    use proptest::prelude::*;
 
     /// The paper's running example (appendix §I), reconstructed:
     ///   source: proj(name, code, firm), team(pcode, emp)
@@ -675,6 +869,93 @@ pub(crate) mod tests {
         assert_eq!(engine.sizes, reference.sizes);
         assert_eq!(engine.error_counts, reference.error_counts);
         assert_eq!(engine.errors.len(), reference.errors.len());
+    }
+
+    /// Both scorers on the same chased solutions.
+    fn score_both(i: &Instance, j: &Instance, tgds: &[StTgd]) -> (CoverageModel, CoverageModel) {
+        let solutions: Vec<Instance> = tgds.iter().map(|tgd| chase_one(i, tgd)).collect();
+        let options = CoverageOptions::default();
+        (
+            CoverageModel::from_solutions(j, tgds, &solutions, &options),
+            CoverageModel::from_solutions_reference(j, tgds, &solutions, &options),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The allocation-free match check is `tuple_match(..).is_some()`,
+        /// including repeated nulls, arity mismatches and nulls in `t`.
+        #[test]
+        fn matches_agrees_with_tuple_match(
+            k in prop::collection::vec(arb_value(), 1..=4),
+            t in prop::collection::vec(arb_value(), 1..=4),
+        ) {
+            prop_assert_eq!(matches(&k, &t), tuple_match(&k, &t).is_some(), "k={:?} t={:?}", k, t);
+        }
+    }
+
+    /// Two constants and two nulls: small enough that repeated nulls and
+    /// agreeing constants come up often.
+    fn arb_value() -> impl Strategy<Value = Value> {
+        prop::sample::select(vec![
+            Value::constant("a"),
+            Value::constant("b"),
+            Value::Null(NullId(0)),
+            Value::Null(NullId(1)),
+        ])
+    }
+
+    #[test]
+    fn repeated_null_in_one_tuple_is_not_its_own_support() {
+        // a(x) -> u(x, n, n) chases to u(v, N, N), which matches u(v, c, c)
+        // and induces N ↦ c twice — but from the same tuple, so N stays
+        // unsupported and the cover is the constant fraction 1/3.
+        let mut src = Schema::new("s");
+        src.add_relation("a", &["x"]);
+        let mut tgt = Schema::new("t");
+        tgt.add_relation("u", &["x", "k", "l"]);
+        let tgd = parse_tgd("a(x) -> u(x, n, n)", &src, &tgt).unwrap();
+        let mut i = Instance::new();
+        i.insert_ground(src.rel_id("a").unwrap(), &["v"]);
+        let mut j = Instance::new();
+        j.insert_ground(tgt.rel_id("u").unwrap(), &["v", "c", "c"]);
+        let (model, reference) = score_both(&i, &j, std::slice::from_ref(&tgd));
+        assert_eq!(model.covers, vec![vec![(0, 1.0 / 3.0)]]);
+        assert_eq!(model.covers, reference.covers);
+        assert!(model.errors.is_empty());
+    }
+
+    #[test]
+    fn two_inducing_tuples_support_each_other_whichever_asks() {
+        // a(x) -> t(x, n) & u(n): t(v, N) (chased tuple 0, the first
+        // inducer of N ↦ c) and u(N) (tuple 1) each lend the other support.
+        let mut src = Schema::new("s");
+        src.add_relation("a", &["x"]);
+        let mut tgt = Schema::new("t");
+        tgt.add_relation("t", &["x", "k"]);
+        tgt.add_relation("u", &["k"]);
+        let tgd = parse_tgd("a(x) -> t(x, n) & u(n)", &src, &tgt).unwrap();
+        let mut i = Instance::new();
+        i.insert_ground(src.rel_id("a").unwrap(), &["v"]);
+        let mut j = Instance::new();
+        j.insert_ground(tgt.rel_id("t").unwrap(), &["v", "c"]);
+        j.insert_ground(tgt.rel_id("u").unwrap(), &["c"]);
+        let (model, reference) = score_both(&i, &j, std::slice::from_ref(&tgd));
+        assert_eq!(model.covers, vec![vec![(0, 1.0), (1, 1.0)]]);
+        assert_eq!(model.covers, reference.covers);
+
+        let shared = Inducers {
+            first: 0,
+            others: true,
+        };
+        assert!(shared.supports(0) && shared.supports(1));
+        let alone = Inducers {
+            first: 0,
+            others: false,
+        };
+        assert!(!alone.supports(0), "a lone inducer is not its own support");
+        assert!(alone.supports(1));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Scenario-level pipeline: build the model, preprocess, select, score.
 
-use crate::coverage::CoverageModel;
+use crate::coverage::{CoverageModel, CoverageOptions};
 use crate::metrics::{data_prf, mapping_prf, Prf};
 use crate::objective::{Objective, ObjectiveWeights};
 use crate::preprocess::{preprocess, PreprocessReport};
@@ -32,7 +32,8 @@ pub struct SelectionOutcome {
 }
 
 /// Run one selector on one scenario. Selector failures (e.g. grounding
-/// errors in the PSL selector) propagate instead of aborting.
+/// errors in the PSL selector) and candidates the chase rejects
+/// ([`SelectError::InvalidCandidate`]) propagate instead of aborting.
 pub fn evaluate_scenario(
     scenario: &Scenario,
     selector: &dyn Selector,
@@ -42,7 +43,13 @@ pub fn evaluate_scenario(
     let start = Instant::now();
     let model = {
         let _span = cms_obs::span("pipeline/build-model");
-        CoverageModel::build(&scenario.source, &scenario.target, &scenario.candidates)
+        CoverageModel::try_build_with(
+            &scenario.source,
+            &scenario.target,
+            &scenario.candidates,
+            &CoverageOptions::default(),
+        )
+        .map_err(SelectError::InvalidCandidate)?
     };
     let (reduced, report) = preprocess(&model);
     let constant = weights.w_explain * report.certain_unexplained as f64;
@@ -93,6 +100,22 @@ mod tests {
         );
         assert_eq!(outcome.data.f1, 1.0);
         assert!(outcome.selection.objective <= outcome.gold_objective + 1e-9);
+    }
+
+    #[test]
+    fn invalid_candidate_error_reports_the_chase_failure() {
+        // No `StTgd` fails chase validation today (existentials are the
+        // head-minus-body variables by definition), so the chase error is
+        // built by hand.
+        let chase = cms_tgd::ChaseError::UnboundHeadVar {
+            atom: 0,
+            term: 1,
+            var: cms_tgd::VarId(3),
+        };
+        let err = SelectError::InvalidCandidate(chase);
+        assert_eq!(err.to_string(), format!("invalid candidate tgd: {chase}"));
+        let source = std::error::Error::source(&err).expect("the chase error is the source");
+        assert_eq!(source.downcast_ref(), Some(&chase));
     }
 
     #[test]

@@ -33,11 +33,15 @@ use crate::objective::ObjectiveWeights;
 /// The paper's collective selector compiles the coverage model into a PSL
 /// program; compilation or grounding failures surface here instead of
 /// aborting the process (selectors used to `.expect()` on them), and so
-/// does [`crate::learn_weights`] on an empty training set.
+/// do [`crate::learn_weights`] on an empty training set and
+/// [`crate::evaluate_scenario`] on a candidate the chase rejects.
 #[derive(Clone, PartialEq, Debug)]
 pub enum SelectError {
     /// The PSL program failed to ground.
     Grounding(cms_psl::GroundingError),
+    /// A candidate tgd failed chase validation, so no coverage model
+    /// could be built.
+    InvalidCandidate(cms_tgd::ChaseError),
     /// Weight learning was given no training scenarios.
     NoTrainingScenarios,
 }
@@ -46,6 +50,7 @@ impl std::fmt::Display for SelectError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SelectError::Grounding(e) => write!(f, "selection failed: {e}"),
+            SelectError::InvalidCandidate(e) => write!(f, "invalid candidate tgd: {e}"),
             SelectError::NoTrainingScenarios => {
                 write!(f, "weight learning needs at least one scenario")
             }
@@ -57,6 +62,7 @@ impl std::error::Error for SelectError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SelectError::Grounding(e) => Some(e),
+            SelectError::InvalidCandidate(e) => Some(e),
             SelectError::NoTrainingScenarios => None,
         }
     }

@@ -66,8 +66,9 @@ pub struct PslRun {
     pub iterations: usize,
     /// Whether ADMM converged within its budget.
     pub converged: bool,
-    /// Soft MAP objective (relaxation optimum; lower-bounds no… reports
-    /// the relaxed objective value including constant loss).
+    /// Soft MAP objective: the relaxed PSL objective at the final ADMM
+    /// iterate plus the program's constant loss. It scores the continuous
+    /// relaxation, not the rounded selection's Eq. (9) objective.
     pub soft_objective: f64,
     /// Ground potentials + constraints (model size proxy).
     pub ground_terms: usize,

@@ -9,8 +9,11 @@
 //!   renaming, and `chase_one_canonical` bit for bit;
 //! * `ChaseEngine::chase_merged` equals `chase` up to null renaming, and
 //!   `chase_canonical` bit for bit;
-//! * `CoverageModel` built on the engine is identical — cover degrees,
-//!   sizes, error groups, error counts — to one built on the naive chase.
+//! * `CoverageModel` built on the engine chase and scored through the
+//!   target's column index is identical — cover degrees bit for bit,
+//!   sizes, error groups, error counts — to one built on the naive chase
+//!   and scored by the retained scan-every-target scorer
+//!   (`CoverageModel::build_reference`).
 
 use cms::prelude::*;
 use cms::tgd::{chase_canonical, chase_one_canonical, ChaseEngine};
@@ -39,7 +42,13 @@ fn assert_models_identical(engine: &CoverageModel, naive: &CoverageModel, label:
     assert_eq!(engine.num_candidates, naive.num_candidates, "{label}");
     assert_eq!(engine.targets, naive.targets, "{label}: target tuples");
     assert_eq!(engine.sizes, naive.sizes, "{label}: sizes");
-    assert_eq!(engine.covers, naive.covers, "{label}: cover degrees");
+    let bits = |m: &CoverageModel| -> Vec<Vec<(usize, u64)>> {
+        m.covers
+            .iter()
+            .map(|list| list.iter().map(|&(t, d)| (t, d.to_bits())).collect())
+            .collect()
+    };
+    assert_eq!(bits(engine), bits(naive), "{label}: cover degrees");
     assert_eq!(
         engine.error_counts, naive.error_counts,
         "{label}: error counts"
@@ -108,15 +117,26 @@ fn engine_matches_naive_chase_on_seeded_scenarios() {
 
 #[test]
 fn coverage_model_identical_on_engine_and_naive_chase() {
-    for (invocations, seed) in [(1usize, 5u64), (2, 11)] {
+    // (invocations, rows per relation, uniform noise %, seed)
+    let battery = [
+        (1usize, 10usize, 25.0, 5u64),
+        (2, 10, 25.0, 11),
+        (1, 25, 0.0, 7),
+        (1, 25, 25.0, 7),
+        (1, 25, 75.0, 7),
+        (4, 25, 25.0, 7),
+    ];
+    for (invocations, rows, noise, seed) in battery {
         let config = ScenarioConfig {
-            rows_per_relation: 10,
-            noise: NoiseConfig::uniform(25.0),
+            rows_per_relation: rows,
+            noise: NoiseConfig::uniform(noise),
             seed,
             ..ScenarioConfig::all_primitives(invocations)
         };
         let scenario = generate(&config);
-        let label = format!("coverage all_primitives({invocations}) seed {seed}");
+        let label = format!(
+            "coverage all_primitives({invocations}) rows {rows} noise {noise}% seed {seed}"
+        );
         let options = CoverageOptions::default();
         let engine_model = CoverageModel::build_with(
             &scenario.source,
