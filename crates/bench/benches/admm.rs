@@ -12,16 +12,26 @@
 //! * `solve-threads4` — the sharded solver at `threads = 4` (bit-identical
 //!   results; wall-clock speedup shows up on multi-core hosts).
 //!
+//! `solve/ds100` times the production PSL program of the benchmark's
+//! `data-scale` point (`PslCollective::build_program` on the preprocessed
+//! model of `all_primitives(4)`, 100 rows, 25% noise, seed 7) solved to
+//! convergence with the default configuration — each independent
+//! component stops on its own residual.
+//!
 //! Beyond the criterion timings, the bench emits extra JSON lines in the
 //! same format for the phase breakdown (`consensus-*`, `local-*`, per
-//! iteration) and for the warm-start iteration counts over a 10-flip
+//! iteration), for the warm-start iteration counts over a 10-flip
 //! reground sequence (`warm-consensus-iters` vs `warm-dual-iters` vs
-//! `cold-iters` — counts, not nanoseconds). All lines are gated against
-//! `BENCH_admm_baseline.json` by `bench_gate` in CI.
+//! `cold-iters`) and for the work of the `ds100` solve (`work/ds100`:
+//! Σ over blocks of iterations × terms) — counts, not nanoseconds.
+//! All lines are gated against `BENCH_admm_baseline.json` by
+//! `bench_gate` in CI.
 
 use cms_ibench::{generate, NoiseConfig, ScenarioConfig};
 use cms_psl::{AdmmConfig, ConstraintKind, GroundAtom, GroundProgram, LinExpr, Program};
-use cms_select::{build_eval_program, CoverageModel, EvalPreds, ObjectiveWeights};
+use cms_select::{
+    build_eval_program, preprocess, CoverageModel, EvalPreds, ObjectiveWeights, PslCollective,
+};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
 
@@ -42,6 +52,22 @@ fn scenario_program(invocations: usize, rows: usize) -> (Program, EvalPreds, Cov
     let weights = ObjectiveWeights::unweighted();
     let (program, preds) = build_eval_program(&model, &weights, &[]);
     (program, preds, model)
+}
+
+/// The ground PSL program `PslCollective` solves on the `data-scale`
+/// point: `all_primitives(4)`, uniform 25% noise, seed 7, preprocessed.
+fn data_scale_program(rows: usize) -> GroundProgram {
+    let scenario = generate(&ScenarioConfig {
+        rows_per_relation: rows,
+        noise: NoiseConfig::uniform(25.0),
+        seed: 7,
+        ..ScenarioConfig::all_primitives(4)
+    });
+    let model = CoverageModel::build(&scenario.source, &scenario.target, &scenario.candidates);
+    let (reduced, _) = preprocess(&model);
+    let (program, _) =
+        PslCollective::default().build_program(&reduced, &ObjectiveWeights::unweighted());
+    program.ground().expect("PSL program grounds")
 }
 
 /// Fixed-iteration config: a *negative* absolute tolerance makes the
@@ -263,7 +289,26 @@ fn bench_admm(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("solve-threads4", "ap4"), &(), |b, ()| {
         b.iter(|| std::hint::black_box(ground.solve(&fixed_cfg(4, iters)).admm.iterations));
     });
+    // The production PSL solve to convergence, each block to its own
+    // residual.
+    let ds = data_scale_program(if quick { 10 } else { 100 });
+    let ds_cfg = AdmmConfig {
+        threads: 1,
+        ..AdmmConfig::default()
+    };
+    let ds_sol = ds.solve(&ds_cfg).admm;
+    eprintln!(
+        "admm bench: ds100 -> {} terms, {} blocks, {} iterations, converged {}",
+        ds.potentials.len() + ds.constraints.len(),
+        ds_sol.components,
+        ds_sol.iterations,
+        ds_sol.converged
+    );
+    group.bench_with_input(BenchmarkId::new("solve", "ds100"), &(), |b, ()| {
+        b.iter(|| std::hint::black_box(ds.solve(&ds_cfg).admm.iterations));
+    });
     group.finish();
+    emit("admm", "work/ds100", &[ds_sol.term_updates as f64]);
 
     // Phase breakdown, per iteration: the fused sharded consensus pass vs
     // the seed's three-sweep consensus, plus the thread-scaling line.

@@ -111,6 +111,9 @@ pub enum Event {
         iterations: u64,
         /// True iff residuals dropped below tolerance.
         converged: bool,
+        /// Independent components solved (0 in exports that predate the
+        /// field, which the parser accepts).
+        components: u64,
         /// Watchdog restarts.
         restarts: u64,
         /// `SolveHealth` rendering, e.g. `converged` or `stalled@40`.
@@ -451,6 +454,7 @@ pub fn to_json_line(r: &EventRecord) -> String {
         Event::Solve {
             iterations,
             converged,
+            components,
             restarts,
             health,
             objective,
@@ -460,6 +464,7 @@ pub fn to_json_line(r: &EventRecord) -> String {
         } => {
             push_u64(&mut out, "iterations", *iterations);
             let _ = write!(out, ",\"converged\":{converged}");
+            push_u64(&mut out, "components", *components);
             push_u64(&mut out, "restarts", *restarts);
             push_str(&mut out, "health", health);
             push_f64(&mut out, "objective", *objective);
@@ -545,6 +550,10 @@ pub(crate) fn record_from_json(v: &Json) -> Result<EventRecord, String> {
                 .get("converged")
                 .and_then(Json::as_bool)
                 .ok_or("missing/invalid bool field \"converged\"")?,
+            components: match v.get("components") {
+                None => 0,
+                Some(_) => req_u64(v, "components")?,
+            },
             restarts: req_u64(v, "restarts")?,
             health: req_str(v, "health")?,
             objective: req_f64(v, "objective")?,
@@ -617,12 +626,14 @@ fn event_line(r: &EventRecord) -> String {
         ),
         Event::Solve {
             iterations,
+            components,
             health,
             restarts,
             objective,
             ..
         } => format!(
-            "solve: {iterations} iters, health={health}, restarts={restarts}, obj={objective:.3}"
+            "solve: {iterations} iters, {components} components, health={health}, \
+             restarts={restarts}, obj={objective:.3}"
         ),
         Event::Degradation(rung) => {
             format!("degradation rung {}: {}", rung.rung(), rung.render())

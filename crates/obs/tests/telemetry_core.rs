@@ -220,6 +220,7 @@ fn event_strategy() -> impl Strategy<Value = Event> {
             .prop_map(|(a, health, obj, t)| Event::Solve {
                 iterations: a.0,
                 converged: a.1,
+                components: a.0 % 64,
                 restarts: a.2,
                 health,
                 objective: obj.0,
@@ -264,6 +265,31 @@ proptest! {
         let parsed = parse_jsonl(&jsonl).expect("export must parse");
         prop_assert_eq!(parsed, records);
     }
+}
+
+#[test]
+fn solve_events_without_a_components_key_still_parse() {
+    // Exports written before `components` joined the solve event.
+    let line = "{\"seq\":3,\"t_ns\":10,\"span\":0,\"type\":\"solve\",\"iterations\":7,\
+                \"converged\":true,\"restarts\":0,\"health\":\"converged\",\"objective\":1.5,\
+                \"max_violation\":0,\"local_ns\":5,\"consensus_ns\":6}";
+    let parsed = parse_jsonl(line).expect("legacy solve event parses");
+    match &parsed[0].event {
+        Event::Solve {
+            iterations,
+            components,
+            ..
+        } => assert_eq!((*iterations, *components), (7, 0)),
+        other => panic!("expected a solve event, got {other:?}"),
+    }
+    let bad = line.replace(
+        "\"iterations\":7,",
+        "\"iterations\":7,\"components\":\"x\",",
+    );
+    assert!(
+        parse_jsonl(&bad).is_err(),
+        "a malformed components key is rejected"
+    );
 }
 
 fn span_strategy() -> impl Strategy<Value = SpanRecord> {

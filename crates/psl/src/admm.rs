@@ -52,6 +52,48 @@
 //! local/consensus phases over `std::sync::Barrier`, so per-iteration
 //! parallel overhead is a few barrier waits, not a thread spawn.
 //!
+//! ## Independent components
+//!
+//! Two terms interact only through a variable they share, so the
+//! program's objective separates over the connected components of the
+//! term–variable graph, and so does every ADMM step: a component's
+//! local updates read only its own `z`/`u`, and its consensus averages
+//! only its own copies. Iterating one component therefore never changes
+//! another, and solving a set of components on its own is **exact** —
+//! its iterates are bit-identical to solving those components as a
+//! program by themselves. What one global solve adds is only its stopping
+//! rule: one residual over all components keeps every component iterating
+//! as long as the slowest.
+//!
+//! `build_workspace` finds the components (union-find over each
+//! term's variables) and groups them into **blocks**: each component of
+//! at least `MIN_BLOCK_TERMS` (16) terms is a block of its own, and all
+//! smaller components form one block together. (An evaluation program
+//! splits into about a thousand components of one to three terms, where
+//! a residual test each costs more than it saves; the components of the
+//! benchmark's PSL programs hold from about 15 to about 1000 terms.) Terms and variables
+//! are laid out block-major — stable, blocks ordered by their smallest
+//! variable, shards cut at block boundaries; with one block that is the
+//! caller's order, so such a program solves exactly as before. Variables
+//! in no term and terms without variables join block 0; they change no
+//! iterate. One loop then iterates every block still running (the
+//! parallel loop when the largest block reaches
+//! [`AdmmConfig::parallel_threshold`]), and each block has its own
+//! residual test over its own copies, its own iteration count,
+//! stall/divergence watchdogs and restarts; a block that stops drops out
+//! of the loop. The per-block outcomes merge into the one
+//! [`AdmmSolution`]/[`DualState`] of the call, in the original variable
+//! and term order:
+//!
+//! * `values` are scattered back to the original variable ids;
+//! * `iterations` is the maximum over blocks, `converged` holds only if
+//!   every block converged, and `health` is the first non-`Converged`
+//!   outcome in block order;
+//! * `restarts`, `local_time`, `consensus_time` and `term_updates` are
+//!   sums, and `components` counts the blocks;
+//! * one [`AdmmConfig::time_budget`] deadline covers the whole call, and
+//!   the solve is published to telemetry once per call.
+//!
 //! ## Warm starts and dual reuse
 //!
 //! [`AdmmSolver::solve_warm`] seeds the consensus vector from a previous
@@ -67,7 +109,7 @@
 use crate::hinge::{ConstraintKind, GroundConstraint, GroundPotential};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, OnceLock};
+use std::sync::{Barrier, OnceLock, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -76,9 +118,9 @@ use std::time::{Duration, Instant};
 pub struct AdmmConfig {
     /// Augmented-Lagrangian step size ρ.
     pub rho: f64,
-    /// Iteration cap.
+    /// Iteration cap, per block (module docs).
     pub max_iterations: usize,
-    /// Absolute tolerance (scaled by problem size).
+    /// Absolute tolerance (scaled by the block's size).
     pub eps_abs: f64,
     /// Relative tolerance.
     pub eps_rel: f64,
@@ -92,11 +134,12 @@ pub struct AdmmConfig {
     /// rescale the duals). Helps badly scaled programs; off by default to
     /// keep runs exactly reproducible against recorded numbers.
     pub adaptive_rho: bool,
-    /// Minimum term count before `threads > 1` actually engages the
-    /// parallel path — small programs solve faster serially. Defaults to
-    /// the `ADMM_PARALLEL_THRESHOLD` environment variable, or 512 when
-    /// unset (the previously hard-coded value). Set to 0 to force the
-    /// parallel path regardless of size (benches, determinism tests).
+    /// Minimum term count of the largest block before `threads > 1`
+    /// actually engages the parallel path — small problems solve faster
+    /// serially. Defaults to the `ADMM_PARALLEL_THRESHOLD` environment
+    /// variable, or 512 when unset (the previously hard-coded value). Set
+    /// to 0 to force the parallel path regardless of size (benches,
+    /// determinism tests).
     pub parallel_threshold: usize,
     /// Target number of local copies per consensus shard. Shard boundaries
     /// are derived from the problem alone — never from `threads` — which
@@ -108,17 +151,18 @@ pub struct AdmmConfig {
     /// Detection runs on the coordinating thread over the merged residual
     /// partials, so it is bit-identical across thread counts.
     pub stall_window: usize,
-    /// Wall-clock budget for the whole solve, spanning restarts; checked
-    /// once per iteration on the coordinating thread. When exceeded the
-    /// solve stops with [`SolveHealth::TimedOut`] (never restarted). This
-    /// is the one watchdog that is inherently *not* bit-identical across
-    /// runs — leave it `None` (the default) where reproducibility matters.
+    /// Wall-clock budget for the whole solve, spanning blocks and
+    /// restarts; checked once per iteration on the coordinating thread.
+    /// When exceeded the solve stops with [`SolveHealth::TimedOut`] (never
+    /// restarted). This is the one watchdog that is inherently *not*
+    /// bit-identical across runs — leave it `None` (the default) where
+    /// reproducibility matters.
     pub time_budget: Option<Duration>,
-    /// Restarts attempted after a `Stalled` / `Diverged` outcome. The
-    /// first restart keeps the consensus iterate (scrubbed of non-finite
-    /// entries), resets the duals, and doubles ρ; later restarts cold-reset
-    /// the iterates at the original ρ. `0` (the default) reports the
-    /// unhealthy outcome unchanged.
+    /// Restarts attempted after a `Stalled` / `Diverged` outcome, per
+    /// block. The first restart keeps the consensus iterate (scrubbed
+    /// of non-finite entries), resets the duals, and doubles ρ; later
+    /// restarts cold-reset the iterates at the original ρ. `0` (the
+    /// default) reports the unhealthy outcome unchanged.
     pub max_restarts: usize,
 }
 
@@ -296,10 +340,19 @@ impl DualState {
 pub struct AdmmSolution {
     /// Consensus values per variable, in `[0,1]`.
     pub values: Vec<f64>,
-    /// Iterations executed.
+    /// Iterations executed by the longest-running block (restarts
+    /// included; see the module docs on blocks).
     pub iterations: usize,
-    /// True iff both residuals dropped below tolerance before the cap.
+    /// True iff every block's residuals dropped below tolerance before
+    /// the cap.
     pub converged: bool,
+    /// Blocks the program split into and solved each to its own residual:
+    /// one per connected component of at least 16 terms, plus one for all
+    /// smaller components together (0 when no term touches a variable).
+    pub components: usize,
+    /// Local term updates performed: Σ over blocks of iterations × terms
+    /// with variables, restarts included — the solve's work.
+    pub term_updates: usize,
     /// Σ weighted potential values at the solution (excluding any constant
     /// loss folded away during grounding).
     pub objective: f64,
@@ -310,9 +363,10 @@ pub struct AdmmSolution {
     /// Wall time spent in the fused consensus/dual/residual step.
     pub consensus_time: Duration,
     /// Structured outcome: `converged` is exactly
-    /// `health == SolveHealth::Converged`.
+    /// `health == SolveHealth::Converged`. With several blocks, the first
+    /// non-`Converged` outcome in block order.
     pub health: SolveHealth,
-    /// Restarts performed by the recovery policy before this outcome.
+    /// Restarts performed by the recovery policy, summed over blocks.
     pub restarts: usize,
 }
 
@@ -330,6 +384,7 @@ impl AdmmSolution {
             use cms_obs::LazyCounter;
             static RUNS: LazyCounter = LazyCounter::new("solve.runs");
             static ITERATIONS: LazyCounter = LazyCounter::new("solve.iterations");
+            static COMPONENTS: LazyCounter = LazyCounter::new("solve.components");
             static RESTARTS: LazyCounter = LazyCounter::new("solve.restarts");
             static HEALTH: [LazyCounter; 5] = [
                 LazyCounter::new("solve.health.converged"),
@@ -340,6 +395,7 @@ impl AdmmSolution {
             ];
             RUNS.inc();
             ITERATIONS.add(self.iterations as u64);
+            COMPONENTS.add(self.components as u64);
             RESTARTS.add(self.restarts as u64);
             let h = match self.health {
                 SolveHealth::Converged => &HEALTH[0],
@@ -363,6 +419,7 @@ impl AdmmSolution {
             cms_obs::emit(cms_obs::Event::Solve {
                 iterations: self.iterations as u64,
                 converged: self.converged,
+                components: self.components as u64,
                 restarts: self.restarts as u64,
                 health: self.health.to_string(),
                 objective: self.objective,
@@ -408,13 +465,46 @@ struct Shard {
     slots: Range<usize>,
 }
 
-/// Flattened problem + iteration state. Terms are stored structure-of-
-/// arrays: per-term metadata plus term-major slot arrays (`slot_*`, `y`)
-/// delimited by `term_start`, and the shard-major dual array `u` linked to
-/// the term-major view through `slot_upos` / `shard_slot`.
+/// Components with fewer terms than this are solved together as one
+/// block. On such tiny components (an evaluation program splits into
+/// about a thousand of one to three terms) a residual test of their own
+/// costs more per iteration than the iterations it saves, while the
+/// components of the PSL programs the benchmark solves hold from about 15
+/// to about 1000 terms.
+const MIN_BLOCK_TERMS: usize = 16;
+
+/// An independently solved part of the program — one connected component
+/// of at least [`MIN_BLOCK_TERMS`] terms, or all smaller components
+/// together — as ranges of the block-major workspace.
+#[derive(Clone, Debug)]
+struct Block {
+    /// Workspace terms.
+    terms: Range<usize>,
+    /// Terms with at least one variable: `terms` minus, in block 0, the
+    /// terms without variables.
+    live_terms: usize,
+    /// Workspace variables.
+    vars: Range<usize>,
+    /// Shards (cut at the block's boundaries).
+    shards: Range<usize>,
+    /// Local copies: the same range in the term-major arrays (`y`) and
+    /// the shard-major ones (`u`), since both are block-major.
+    slots: Range<usize>,
+}
+
+/// Flattened problem + iteration state, laid out block-major (see
+/// the module docs). Terms are stored structure-of-arrays: per-term
+/// metadata plus term-major slot arrays (`slot_*`, `y`) delimited by
+/// `term_start`, and the shard-major dual array `u` linked to the
+/// term-major view through `slot_upos` / `shard_slot`. Workspace term and
+/// variable ids map back to the caller's through `term_pos` / `var_orig`.
 struct Workspace {
     num_potentials: usize,
-    num_terms: usize,
+    /// Original term (potentials, then constraints) → workspace term.
+    term_pos: Vec<u32>,
+    /// Workspace variable → original variable.
+    var_orig: Vec<u32>,
+    blocks: Vec<Block>,
     term_start: Vec<u32>,
     kind: Vec<TermKind>,
     constant: Vec<f64>,
@@ -430,7 +520,6 @@ struct Workspace {
     sm_var: Vec<u32>,
     shards: Vec<Shard>,
     counts: Vec<u32>,
-    total_copies: usize,
     /// Local copies, term-major (written in the local phase).
     y: Vec<AtomicU64>,
     /// Scaled duals, shard-major (written in the consensus phase).
@@ -536,57 +625,85 @@ impl Workspace {
         f_store(&out.dual_sq, dual_sq);
     }
 
-    /// Rescale every dual by `1/factor` (ρ adaptation keeps λ = ρ·u fixed).
-    fn rescale_duals(&self, factor: f64) {
-        for a in &self.u {
+    /// Rescale a block's duals by `1/factor` (ρ adaptation keeps
+    /// λ = ρ·u fixed).
+    fn rescale_duals(&self, block: &Block, factor: f64) {
+        for a in &self.u[block.slots.clone()] {
             f_store(a, f_load(a) / factor);
         }
     }
 
-    /// Restart repair: zero every dual, scrub non-finite consensus values
-    /// back to `initial`, and re-seed the local copies from `z`. Keeps
-    /// whatever finite progress the failed attempt made.
-    fn reset_for_restart(&self, initial: f64) {
-        for a in &self.u {
+    /// Restart repair of one block: zero its duals, scrub non-finite
+    /// consensus values back to `initial`, and re-seed its local copies
+    /// from `z`. Keeps whatever finite progress the failed attempt made.
+    fn reset_for_restart(&self, block: &Block, initial: f64) {
+        for a in &self.u[block.slots.clone()] {
             f_store(a, 0.0);
         }
-        for a in &self.z {
+        for a in &self.z[block.vars.clone()] {
             if !f_load(a).is_finite() {
                 f_store(a, initial.clamp(0.0, 1.0));
             }
         }
-        for (slot, &v) in self.slot_var.iter().enumerate() {
-            f_store(&self.y[slot], f_load(&self.z[v as usize]));
+        for slot in block.slots.clone() {
+            f_store(&self.y[slot], f_load(&self.z[self.slot_var[slot] as usize]));
         }
     }
 
-    /// Cold reset: consensus back to the initial value everywhere, duals
-    /// to zero, local copies re-seeded — as if the solve had just begun.
-    fn cold_reset(&self, initial: f64) {
-        for a in &self.z {
+    /// Cold reset of one block: consensus back to the initial value,
+    /// duals to zero, local copies re-seeded — as if its solve had just
+    /// begun.
+    fn cold_reset(&self, block: &Block, initial: f64) {
+        for a in &self.z[block.vars.clone()] {
             f_store(a, initial.clamp(0.0, 1.0));
         }
-        self.reset_for_restart(initial);
+        self.reset_for_restart(block, initial);
     }
 
+    /// Consensus values in the original variable order.
     fn values(&self) -> Vec<f64> {
-        self.z.iter().map(f_load).collect()
+        let mut values = vec![0.0; self.z.len()];
+        for (z, &v) in self.z.iter().zip(&self.var_orig) {
+            values[v as usize] = f_load(z);
+        }
+        values
     }
 
-    /// Read the duals back out into per-term vectors.
+    /// Read the duals back out into per-term vectors, in the original
+    /// term order.
     fn extract_duals(&self) -> DualState {
-        let term_duals = |t: usize| -> Vec<f64> {
+        let term_duals = |&t: &u32| -> Vec<f64> {
+            let t = t as usize;
             (self.term_start[t] as usize..self.term_start[t + 1] as usize)
                 .map(|i| f_load(&self.u[self.slot_upos[i] as usize]))
                 .collect()
         };
+        let (potentials, constraints) = self.term_pos.split_at(self.num_potentials);
         DualState {
-            potentials: (0..self.num_potentials).map(term_duals).collect(),
-            constraints: (self.num_potentials..self.num_terms)
-                .map(term_duals)
-                .collect(),
+            potentials: potentials.iter().map(term_duals).collect(),
+            constraints: constraints.iter().map(term_duals).collect(),
         }
     }
+}
+
+/// Stable counting sort of the indices `0..keys.len()` by key (every key
+/// below `buckets`). Returns the sorted indices and each key's start in
+/// them (`buckets + 1` entries, the last one `keys.len()`).
+fn counting_order(keys: &[u32], buckets: usize) -> (Vec<u32>, Vec<usize>) {
+    let mut starts = vec![0usize; buckets + 1];
+    for &k in keys {
+        starts[k as usize + 1] += 1;
+    }
+    for b in 0..buckets {
+        starts[b + 1] += starts[b];
+    }
+    let mut cursor = starts.clone();
+    let mut order = vec![0u32; keys.len()];
+    for (i, &k) in keys.iter().enumerate() {
+        order[cursor[k as usize]] = i as u32;
+        cursor[k as usize] += 1;
+    }
+    (order, starts)
 }
 
 /// Partition `0..weights.len()` into `parts` contiguous ranges with
@@ -679,73 +796,25 @@ impl<'a> AdmmSolver<'a> {
     ) -> (AdmmSolution, Option<DualState>) {
         let _span = cms_obs::span("solve");
         let ws = self.build_workspace(config, &warm);
-        if ws.total_copies == 0 {
-            // No term holds a local copy: every expression is constant.
-            let values = ws.values();
-            let objective = self.objective(&values);
-            let max_violation = self
-                .constraints
-                .iter()
-                .map(|c| c.violation(&values))
-                .fold(0.0, f64::max);
-            let solution = AdmmSolution {
-                values,
-                iterations: 0,
-                converged: true,
-                objective,
-                max_violation,
-                local_time: Duration::ZERO,
-                consensus_time: Duration::ZERO,
-                health: SolveHealth::Converged,
-                restarts: 0,
-            };
-            solution.publish(_span.id());
-            return (solution, want_duals.then(|| ws.extract_duals()));
-        }
-
-        let threads = config.threads.max(1);
-        let parallel = threads > 1 && ws.num_terms >= config.parallel_threshold;
         let partials: Vec<ShardPartials> = (0..ws.shards.len())
             .map(|_| ShardPartials::default())
             .collect();
-
-        // One wall-clock deadline spans every restart attempt, so the
-        // restart policy can never exceed the caller's budget.
-        let deadline = config.time_budget.map(|b| Instant::now() + b);
-        let mut attempt_cfg = config.clone();
-        let mut restarts = 0usize;
-        let mut iterations = 0usize;
-        let mut local_time = Duration::ZERO;
-        let mut consensus_time = Duration::ZERO;
-        let outcome = loop {
-            let outcome = if parallel {
-                self.run_parallel(&attempt_cfg, &ws, &partials, threads, deadline)
-            } else {
-                self.run_serial(&attempt_cfg, &ws, &partials, deadline)
-            };
-            iterations += outcome.iterations;
-            local_time += outcome.local_time;
-            consensus_time += outcome.consensus_time;
-            let restartable = matches!(
-                outcome.health,
-                SolveHealth::Stalled { .. } | SolveHealth::Diverged { .. }
-            );
-            if !restartable || restarts >= config.max_restarts {
-                break outcome;
+        let mut runs: Vec<BlockRun> = ws.blocks.iter().map(|_| BlockRun::new(config)).collect();
+        let threads = config.threads.max(1);
+        let largest = ws.blocks.iter().map(|b| b.terms.len()).max();
+        let (local_time, consensus_time) = match largest {
+            Some(terms) if threads > 1 && terms >= config.parallel_threshold => {
+                self.run_parallel(config, &ws, &mut runs, &partials, threads)
             }
-            restarts += 1;
-            if restarts == 1 {
-                // First restart: keep the consensus iterate (scrubbed of
-                // any non-finite entries), drop the duals, double ρ.
-                ws.reset_for_restart(config.initial_value);
-                attempt_cfg.rho = config.rho * 2.0;
-            } else {
-                // Later restarts: full cold reset at the original ρ.
-                ws.cold_reset(config.initial_value);
-                attempt_cfg.rho = config.rho;
-            }
+            _ => self.run_serial(config, &ws, &mut runs, &partials),
         };
 
+        // Merge the blocks in block order (module docs).
+        let health = runs
+            .iter()
+            .map(|r| r.health)
+            .find(|h| *h != SolveHealth::Converged)
+            .unwrap_or(SolveHealth::Converged);
         let values = ws.values();
         let objective = self.objective(&values);
         let max_violation = self
@@ -755,14 +824,20 @@ impl<'a> AdmmSolver<'a> {
             .fold(0.0, f64::max);
         let solution = AdmmSolution {
             values,
-            iterations,
-            converged: outcome.health == SolveHealth::Converged,
+            iterations: runs.iter().map(|r| r.iterations).max().unwrap_or(0),
+            converged: health == SolveHealth::Converged,
+            components: runs.len(),
+            term_updates: runs
+                .iter()
+                .zip(&ws.blocks)
+                .map(|(r, b)| r.iterations * b.live_terms)
+                .sum(),
             objective,
             max_violation,
             local_time,
             consensus_time,
-            health: outcome.health,
-            restarts,
+            health,
+            restarts: runs.iter().map(|r| r.restarts).sum(),
         };
         solution.publish(_span.id());
         (solution, want_duals.then(|| ws.extract_duals()))
@@ -773,12 +848,125 @@ impl<'a> AdmmSolver<'a> {
         self.potentials.iter().map(|p| p.value(y)).sum()
     }
 
-    /// Build the flattened workspace: SoA terms, shard partition, seeded
-    /// `z`/`y`/`u`.
+    /// Build the flattened, block-major workspace: components found by
+    /// union-find and grouped into blocks, SoA terms in block order,
+    /// shards cut at block boundaries, seeded `z`/`y`/`u`.
     fn build_workspace(&self, config: &AdmmConfig, warm: &WarmStart<'_>) -> Workspace {
         let n = self.num_vars;
         let num_potentials = self.potentials.len();
         let num_terms = num_potentials + self.constraints.len();
+        let expr = |t: usize| {
+            if t < num_potentials {
+                &self.potentials[t].expr
+            } else {
+                &self.constraints[t - num_potentials].expr
+            }
+        };
+
+        // Union-find over each term's variables. Linking the larger root
+        // under the smaller keeps every root the smallest variable of its
+        // set, so numbering roots in ascending order numbers components
+        // by their smallest variable.
+        fn find(parent: &mut [u32], mut v: usize) -> usize {
+            while parent[v] as usize != v {
+                parent[v] = parent[parent[v] as usize];
+                v = parent[v] as usize;
+            }
+            v
+        }
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        let mut orig_counts = vec![0u32; n];
+        for t in 0..num_terms {
+            let terms = &expr(t).terms;
+            let Some((&(first, _), rest)) = terms.split_first() else {
+                continue;
+            };
+            orig_counts[first] += 1;
+            for &(v, _) in rest {
+                orig_counts[v] += 1;
+                let (a, b) = (find(&mut parent, first), find(&mut parent, v));
+                parent[a.max(b)] = a.min(b) as u32;
+            }
+        }
+        // Connected components, numbered by smallest variable; a term
+        // belongs to the component of its first variable.
+        const NONE: u32 = u32::MAX;
+        let mut comp_of = vec![NONE; n];
+        let mut num_comps = 0usize;
+        for v in 0..n {
+            if orig_counts[v] > 0 {
+                let root = find(&mut parent, v);
+                comp_of[v] = if root == v {
+                    num_comps += 1;
+                    num_comps as u32 - 1
+                } else {
+                    comp_of[root]
+                };
+            }
+        }
+        let term_comp: Vec<u32> = (0..num_terms)
+            .map(|t| expr(t).terms.first().map_or(NONE, |&(v, _)| comp_of[v]))
+            .collect();
+        let mut comp_terms = vec![0usize; num_comps];
+        for &c in term_comp.iter().filter(|&&c| c != NONE) {
+            comp_terms[c as usize] += 1;
+        }
+        // Blocks: each component of at least `MIN_BLOCK_TERMS` terms alone,
+        // all smaller ones together, numbered by smallest variable.
+        // Variables in no term and terms without variables change no
+        // iterate; they join block 0.
+        let mut block_live_terms: Vec<usize> = Vec::new();
+        let mut small_block = None;
+        let mut num_blocks = 0u32;
+        let block_of_comp: Vec<u32> = comp_terms
+            .iter()
+            .map(|&terms| {
+                let mut next = || {
+                    block_live_terms.push(0);
+                    num_blocks += 1;
+                    num_blocks - 1
+                };
+                let b = if terms >= MIN_BLOCK_TERMS {
+                    next()
+                } else {
+                    *small_block.get_or_insert_with(next)
+                };
+                block_live_terms[b as usize] += terms;
+                b
+            })
+            .collect();
+        let block = |c: u32| {
+            if c == NONE {
+                0
+            } else {
+                block_of_comp[c as usize]
+            }
+        };
+        let num_blocks = num_blocks as usize;
+
+        // Block-major order, stable: variables and terms by block. With
+        // one block that is the caller's order.
+        let ((var_orig, var_bounds), (term_orig, term_bounds)) = if num_blocks > 1 {
+            let var_keys: Vec<u32> = comp_of.iter().map(|&c| block(c)).collect();
+            let term_keys: Vec<u32> = term_comp.iter().map(|&c| block(c)).collect();
+            (
+                counting_order(&var_keys, num_blocks),
+                counting_order(&term_keys, num_blocks),
+            )
+        } else {
+            (
+                ((0..n as u32).collect(), vec![0, n]),
+                ((0..num_terms as u32).collect(), vec![0, num_terms]),
+            )
+        };
+        let mut var_pos = vec![0u32; n];
+        for (pos, &v) in var_orig.iter().enumerate() {
+            var_pos[v as usize] = pos as u32;
+        }
+        let mut term_pos = vec![0u32; num_terms];
+        for (pos, &t) in term_orig.iter().enumerate() {
+            term_pos[t as usize] = pos as u32;
+        }
 
         let mut term_start: Vec<u32> = Vec::with_capacity(num_terms + 1);
         let mut kind: Vec<TermKind> = Vec::with_capacity(num_terms);
@@ -787,47 +975,47 @@ impl<'a> AdmmSolver<'a> {
         let mut slot_var: Vec<u32> = Vec::new();
         let mut slot_coef: Vec<f64> = Vec::new();
         term_start.push(0);
-        for p in self.potentials {
-            for &(v, c) in &p.expr.terms {
-                slot_var.push(v as u32);
+        for &t in &term_orig {
+            let t = t as usize;
+            let e = expr(t);
+            for &(v, c) in &e.terms {
+                slot_var.push(var_pos[v]);
                 slot_coef.push(c);
             }
             term_start.push(slot_var.len() as u32);
-            kind.push(TermKind::Potential {
-                weight: p.weight,
-                squared: p.squared,
+            kind.push(if t < num_potentials {
+                let p = &self.potentials[t];
+                TermKind::Potential {
+                    weight: p.weight,
+                    squared: p.squared,
+                }
+            } else {
+                TermKind::Constraint {
+                    equality: self.constraints[t - num_potentials].kind == ConstraintKind::EqZero,
+                }
             });
-            constant.push(p.expr.constant);
-            coef_norm_sq.push(p.expr.coef_norm_sq());
-        }
-        for c in self.constraints {
-            for &(v, coef) in &c.expr.terms {
-                slot_var.push(v as u32);
-                slot_coef.push(coef);
-            }
-            term_start.push(slot_var.len() as u32);
-            kind.push(TermKind::Constraint {
-                equality: c.kind == ConstraintKind::EqZero,
-            });
-            constant.push(c.expr.constant);
-            coef_norm_sq.push(c.expr.coef_norm_sq());
+            constant.push(e.constant);
+            coef_norm_sq.push(e.coef_norm_sq());
         }
         let total_copies = slot_var.len();
-
         let mut counts = vec![0u32; n];
-        for &v in &slot_var {
-            counts[v as usize] += 1;
+        for (v, &pos) in var_pos.iter().enumerate() {
+            counts[pos as usize] = orig_counts[v];
         }
 
-        // Contiguous variable shards balanced by copy count; boundaries are
-        // a pure function of the problem and `shard_slots`.
+        // Contiguous variable shards balanced by copy count, cut at every
+        // block boundary; boundaries are a pure function of the
+        // problem and `shard_slots`.
         let target = config.shard_slots.max(1);
         let mut shards: Vec<Shard> = Vec::new();
         let mut var_shard = vec![0u32; n];
-        {
-            let mut start = 0usize;
+        let mut blocks = Vec::with_capacity(num_blocks);
+        for c in 0..num_blocks {
+            let vars = var_bounds[c]..var_bounds[c + 1];
+            let first_shard = shards.len();
+            let mut start = vars.start;
             let mut acc = 0usize;
-            for v in 0..n {
+            for v in vars.clone() {
                 acc += counts[v] as usize;
                 var_shard[v] = shards.len() as u32;
                 if acc >= target {
@@ -839,12 +1027,20 @@ impl<'a> AdmmSolver<'a> {
                     acc = 0;
                 }
             }
-            if start < n || shards.is_empty() {
+            if start < vars.end {
                 shards.push(Shard {
-                    vars: start..n,
+                    vars: start..vars.end,
                     slots: 0..0,
                 });
             }
+            let terms = term_bounds[c]..term_bounds[c + 1];
+            blocks.push(Block {
+                live_terms: block_live_terms[c],
+                slots: term_start[terms.start] as usize..term_start[terms.end] as usize,
+                terms,
+                vars,
+                shards: first_shard..shards.len(),
+            });
         }
 
         // Shard-major slot order: bucket term-major slots by shard,
@@ -872,12 +1068,14 @@ impl<'a> AdmmSolver<'a> {
             sm_var[pos] = v;
         }
 
-        // Seed z from the warm values, y from z, u from the warm duals.
-        let z: Vec<AtomicU64> = (0..n)
-            .map(|v| {
+        // Seed z from the warm values, y from z, u from the warm duals
+        // (both given in the caller's variable and term order).
+        let z: Vec<AtomicU64> = var_orig
+            .iter()
+            .map(|&v| {
                 let init = warm
                     .values
-                    .and_then(|w| w.get(v).copied())
+                    .and_then(|w| w.get(v as usize).copied())
                     .map_or(config.initial_value, |x| x.clamp(0.0, 1.0));
                 AtomicU64::new(init.to_bits())
             })
@@ -889,6 +1087,7 @@ impl<'a> AdmmSolver<'a> {
         let u: Vec<AtomicU64> = (0..total_copies).map(|_| AtomicU64::new(0)).collect();
         if let Some(duals) = warm.duals {
             let seed = |t: usize, d: &Vec<f64>| {
+                let t = term_pos[t] as usize;
                 let s0 = term_start[t] as usize;
                 let s1 = term_start[t + 1] as usize;
                 if d.len() == s1 - s0 && d.iter().all(|x| x.is_finite()) {
@@ -909,7 +1108,9 @@ impl<'a> AdmmSolver<'a> {
 
         Workspace {
             num_potentials,
-            num_terms,
+            term_pos,
+            var_orig,
+            blocks,
             term_start,
             kind,
             constant,
@@ -921,63 +1122,95 @@ impl<'a> AdmmSolver<'a> {
             sm_var,
             shards,
             counts,
-            total_copies,
             y,
             u,
             z,
         }
     }
 
-    /// Single-threaded iteration loop (same per-shard routines, run in
-    /// shard order — bit-identical to the parallel path by construction).
+    /// Single-threaded iteration loop: every iteration runs the local and
+    /// consensus steps of each block still iterating (same per-shard
+    /// routines as the parallel path, so bit-identical to it), then
+    /// settles them. Returns the local and consensus wall times.
     fn run_serial(
         &self,
         config: &AdmmConfig,
         ws: &Workspace,
+        runs: &mut [BlockRun],
         partials: &[ShardPartials],
-        deadline: Option<Instant>,
-    ) -> LoopOutcome {
-        let mut state = LoopState::new(config, ws, deadline);
+    ) -> (Duration, Duration) {
+        let mut iterating = Iterating::new(config, runs.len());
         let mut scratch: Vec<f64> = Vec::new();
-        while state.iterations < config.max_iterations {
-            state.iterations += 1;
+        let (mut local_time, mut consensus_time) = (Duration::ZERO, Duration::ZERO);
+        while !iterating.active.is_empty() {
             let t0 = Instant::now();
-            ws.local_phase(0..ws.num_terms, state.rho);
+            for &c in &iterating.active {
+                runs[c].begin_iteration();
+                ws.local_phase(ws.blocks[c].terms.clone(), runs[c].rho);
+            }
             let t1 = Instant::now();
-            for (s, out) in partials.iter().enumerate() {
-                ws.consensus_shard(s, &mut scratch, out);
+            for &c in &iterating.active {
+                for s in ws.blocks[c].shards.clone() {
+                    ws.consensus_shard(s, &mut scratch, &partials[s]);
+                }
             }
-            state.local_time += t1 - t0;
-            state.consensus_time += t1.elapsed();
-            if state.check_and_adapt(config, ws, partials) {
-                break;
-            }
+            local_time += t1 - t0;
+            consensus_time += t1.elapsed();
+            iterating.settle(config, ws, runs, partials);
         }
-        state.into_outcome()
+        (local_time, consensus_time)
     }
 
     /// Barrier-phased parallel loop: workers are spawned once and step
-    /// through local/consensus phases; the coordinator merges the per-shard
-    /// residual partials (in shard order) and decides convergence.
+    /// through local/consensus phases over the blocks still
+    /// iterating; the coordinator settles every block (merging its
+    /// residual partials in shard order) between iterations. Each
+    /// block's terms and shards are split into `threads` balanced
+    /// pieces, and piece `j` of block `c` runs on worker
+    /// `(c + j) % threads`: a large block spreads over every worker,
+    /// small ones deal out round-robin.
     fn run_parallel(
         &self,
         config: &AdmmConfig,
         ws: &Workspace,
+        runs: &mut [BlockRun],
         partials: &[ShardPartials],
         threads: usize,
-        deadline: Option<Instant>,
-    ) -> LoopOutcome {
-        // Balance term chunks by slot count and shard chunks by shard size.
-        let term_weights: Vec<usize> = (0..ws.num_terms)
-            .map(|t| (ws.term_start[t + 1] - ws.term_start[t]) as usize + 1)
+    ) -> (Duration, Duration) {
+        // Balance term pieces by slot count and shard pieces by shard size.
+        let pieces: Vec<Pieces> = ws
+            .blocks
+            .iter()
+            .map(|block| {
+                let offset = |r: Range<usize>, by: usize| r.start + by..r.end + by;
+                let term_weights: Vec<usize> = block
+                    .terms
+                    .clone()
+                    .map(|t| (ws.term_start[t + 1] - ws.term_start[t]) as usize + 1)
+                    .collect();
+                let shard_weights: Vec<usize> = ws.shards[block.shards.clone()]
+                    .iter()
+                    .map(|s| s.slots.len() + 1)
+                    .collect();
+                Pieces {
+                    terms: balanced_ranges(&term_weights, threads)
+                        .into_iter()
+                        .map(|r| offset(r, block.terms.start))
+                        .collect(),
+                    shards: balanced_ranges(&shard_weights, threads)
+                        .into_iter()
+                        .map(|r| offset(r, block.shards.start))
+                        .collect(),
+                }
+            })
             .collect();
-        let shard_weights: Vec<usize> = ws.shards.iter().map(|s| s.slots.len() + 1).collect();
-        let term_chunks = balanced_ranges(&term_weights, threads);
-        let shard_chunks = balanced_ranges(&shard_weights, threads);
+        // The (block, ρ) pairs of the current iteration: written by
+        // the coordinator while the workers wait at the iteration gate,
+        // read by the workers during the two phases.
+        let plan: RwLock<Vec<(usize, f64)>> = RwLock::new(Vec::new());
 
         let barrier = Barrier::new(threads + 1);
         let stop = AtomicBool::new(false);
-        let rho_bits = AtomicU64::new(config.rho.to_bits());
 
         // A panicking worker would strand everyone else on the (non-
         // poisoning) barrier forever; instead workers catch the panic, keep
@@ -985,32 +1218,42 @@ impl<'a> AdmmSolver<'a> {
         // aborts the solve and re-raises once the scope has joined.
         let panicked = AtomicBool::new(false);
 
-        let mut state = LoopState::new(config, ws, deadline);
+        let mut iterating = Iterating::new(config, runs.len());
+        let (mut local_time, mut consensus_time) = (Duration::ZERO, Duration::ZERO);
         // Workers parent their spans under the coordinator's open solve
         // span explicitly — their threads have no ambient span stack.
         let solve_span = cms_obs::current_span();
         thread::scope(|scope| {
             for w in 0..threads {
-                let terms = term_chunks[w].clone();
-                let my_shards = shard_chunks[w].clone();
-                let (barrier, stop, rho_bits, panicked) = (&barrier, &stop, &rho_bits, &panicked);
+                let (barrier, stop, plan, panicked, pieces) =
+                    (&barrier, &stop, &plan, &panicked, &pieces);
                 scope.spawn(move || {
                     // Label the worker's trace track so the Perfetto
                     // export lays it out as a named thread.
                     cms_obs::set_thread_track(format!("admm-worker-{w}"));
                     let _span = cms_obs::span_with_parent(format!("solve/worker-{w}"), solve_span);
+                    let mine = |c: usize, j: usize| (c + j) % threads == w;
                     let mut scratch: Vec<f64> = Vec::new();
                     loop {
                         barrier.wait(); // A: iteration gate
                         if stop.load(Ordering::Relaxed) {
                             break;
                         }
-                        let rho = f64::from_bits(rho_bits.load(Ordering::Relaxed));
+                        // Only the coordinator writes the plan, and only
+                        // while every worker waits at A: no writer can
+                        // have panicked holding it.
+                        let plan = plan.read().expect("the ADMM plan lock is never poisoned");
                         // The barrier waits sit OUTSIDE the catches so a
                         // panicking worker still performs exactly the same
                         // number of waits per iteration as everyone else.
                         let local = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            ws.local_phase(terms.clone(), rho);
+                            for &(c, rho) in plan.iter() {
+                                for (j, terms) in pieces[c].terms.iter().enumerate() {
+                                    if mine(c, j) {
+                                        ws.local_phase(terms.clone(), rho);
+                                    }
+                                }
+                            }
                         }));
                         if local.is_err() {
                             panicked.store(true, Ordering::Relaxed);
@@ -1018,40 +1261,48 @@ impl<'a> AdmmSolver<'a> {
                         barrier.wait(); // B: local phase done
                         let consensus =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                for s in my_shards.clone() {
-                                    ws.consensus_shard(s, &mut scratch, &partials[s]);
+                                for &(c, _) in plan.iter() {
+                                    for (j, shards) in pieces[c].shards.iter().enumerate() {
+                                        if mine(c, j) {
+                                            for s in shards.clone() {
+                                                ws.consensus_shard(s, &mut scratch, &partials[s]);
+                                            }
+                                        }
+                                    }
                                 }
                             }));
                         if consensus.is_err() {
                             panicked.store(true, Ordering::Relaxed);
                         }
+                        drop(plan);
                         barrier.wait(); // C: consensus phase done
                     }
                 });
             }
             loop {
-                if state.iterations >= config.max_iterations || state.converged {
+                if iterating.active.is_empty() || panicked.load(Ordering::Relaxed) {
                     stop.store(true, Ordering::Relaxed);
                     barrier.wait(); // release workers into the stop check
                     break;
                 }
-                state.iterations += 1;
+                {
+                    let mut plan = plan.write().expect("the ADMM plan lock is never poisoned");
+                    plan.clear();
+                    for &c in &iterating.active {
+                        runs[c].begin_iteration();
+                        plan.push((c, runs[c].rho));
+                    }
+                }
                 let t0 = Instant::now();
                 barrier.wait(); // A
                 barrier.wait(); // B: local phase complete
                 let t1 = Instant::now();
                 barrier.wait(); // C: consensus phase complete
-                state.local_time += t1 - t0;
-                state.consensus_time += t1.elapsed();
+                local_time += t1 - t0;
+                consensus_time += t1.elapsed();
                 // Workers are parked at A; the coordinator owns everything.
-                if panicked.load(Ordering::Relaxed) || state.check_and_adapt(config, ws, partials) {
-                    state.converged_or_capped = true;
-                }
-                rho_bits.store(state.rho.to_bits(), Ordering::Relaxed);
-                if state.converged_or_capped {
-                    stop.store(true, Ordering::Relaxed);
-                    barrier.wait(); // release workers into the stop check
-                    break;
+                if !panicked.load(Ordering::Relaxed) {
+                    iterating.settle(config, ws, runs, partials);
                 }
             }
         });
@@ -1059,55 +1310,40 @@ impl<'a> AdmmSolver<'a> {
             !panicked.load(Ordering::Relaxed),
             "ADMM worker panicked during a parallel solve"
         );
-        state.into_outcome()
+        (local_time, consensus_time)
     }
 }
 
-/// Mutable loop bookkeeping shared by the serial and parallel drivers.
-struct LoopState {
-    iterations: usize,
-    converged: bool,
-    converged_or_capped: bool,
-    rho: f64,
-    total_copies: f64,
-    local_time: Duration,
-    consensus_time: Duration,
-    /// Why a watchdog stopped the loop, if one did.
-    stop_health: Option<SolveHealth>,
-    /// Best combined residual seen so far (stall watchdog).
-    best_combined: f64,
-    /// Iterations since the combined residual last improved.
-    stalled_for: usize,
-    /// Wall-clock deadline shared across restart attempts.
+/// One block's share of the parallel loop's work, split into
+/// `threads` balanced pieces (trailing pieces may be empty).
+struct Pieces {
+    terms: Vec<Range<usize>>,
+    shards: Vec<Range<usize>>,
+}
+
+/// The blocks still iterating, plus what their per-iteration checks
+/// share.
+struct Iterating {
+    /// Block ids, ascending.
+    active: Vec<usize>,
+    /// Wall-clock deadline shared by every block and restart.
     deadline: Option<Instant>,
     /// Telemetry histogram of the combined residual, fetched once per
-    /// solve attempt so the per-iteration cost is a bucket increment.
-    /// `None` below [`cms_obs::ObsLevel::Stats`].
+    /// solve so the per-iteration cost is a bucket increment. `None`
+    /// below [`cms_obs::ObsLevel::Stats`].
     residual_hist: Option<&'static cms_obs::Histogram>,
 }
 
-/// What a finished iteration loop reports back.
-struct LoopOutcome {
-    iterations: usize,
-    health: SolveHealth,
-    local_time: Duration,
-    consensus_time: Duration,
-}
-
-impl LoopState {
-    fn new(config: &AdmmConfig, ws: &Workspace, deadline: Option<Instant>) -> LoopState {
-        LoopState {
-            iterations: 0,
-            converged: false,
-            converged_or_capped: false,
-            rho: config.rho,
-            total_copies: ws.total_copies as f64,
-            local_time: Duration::ZERO,
-            consensus_time: Duration::ZERO,
-            stop_health: None,
-            best_combined: f64::INFINITY,
-            stalled_for: 0,
-            deadline,
+impl Iterating {
+    fn new(config: &AdmmConfig, blocks: usize) -> Iterating {
+        Iterating {
+            // A zero iteration cap leaves every block `Capped` at 0.
+            active: if config.max_iterations > 0 {
+                (0..blocks).collect()
+            } else {
+                Vec::new()
+            },
+            deadline: config.time_budget.map(|b| Instant::now() + b),
             residual_hist: cms_obs::enabled(cms_obs::ObsLevel::Stats).then(|| {
                 static RESIDUAL: cms_obs::LazyHistogram = cms_obs::LazyHistogram::new(
                     "solve.residual",
@@ -1118,21 +1354,118 @@ impl LoopState {
         }
     }
 
-    /// Merge the per-shard residual partials (in shard order — the fixed,
-    /// thread-count-independent reduction order), test convergence, and
-    /// apply residual-balancing ρ adaptation. Returns true when the loop
-    /// should stop.
-    fn check_and_adapt(
+    /// After an iteration: settle every active block in block
+    /// order, drop the ones that finished, and record the largest
+    /// combined residual among the blocks that iterated.
+    fn settle(
         &mut self,
         config: &AdmmConfig,
         ws: &Workspace,
+        runs: &mut [BlockRun],
         partials: &[ShardPartials],
+    ) {
+        let timed_out = self.deadline.is_some_and(|d| Instant::now() >= d);
+        let mut residual = 0.0f64;
+        self.active
+            .retain(|&c| !runs[c].settle(config, ws, c, partials, timed_out, &mut residual));
+        if let Some(hist) = self.residual_hist {
+            hist.record(residual);
+        }
+    }
+}
+
+/// One block's progress through the iteration loop.
+struct BlockRun {
+    /// Iterations of the current attempt (the cap applies per attempt).
+    attempt: usize,
+    /// Iterations over all attempts.
+    iterations: usize,
+    restarts: usize,
+    rho: f64,
+    /// Best combined residual of the attempt (stall watchdog).
+    best_combined: f64,
+    /// Iterations since the combined residual last improved.
+    stalled_for: usize,
+    /// The final outcome, once the block is done.
+    health: SolveHealth,
+}
+
+impl BlockRun {
+    fn new(config: &AdmmConfig) -> BlockRun {
+        BlockRun {
+            attempt: 0,
+            iterations: 0,
+            restarts: 0,
+            rho: config.rho,
+            best_combined: f64::INFINITY,
+            stalled_for: 0,
+            health: SolveHealth::Capped,
+        }
+    }
+
+    fn begin_iteration(&mut self) {
+        self.attempt += 1;
+        self.iterations += 1;
+    }
+
+    /// After an iteration of block `c`: test it, then restart or
+    /// finish it if its attempt stopped. Returns true once it is done.
+    fn settle(
+        &mut self,
+        config: &AdmmConfig,
+        ws: &Workspace,
+        c: usize,
+        partials: &[ShardPartials],
+        timed_out: bool,
+        residual: &mut f64,
     ) -> bool {
+        let block = &ws.blocks[c];
+        let Some(health) = self.check(config, ws, block, partials, timed_out, residual) else {
+            return false;
+        };
+        let restartable = matches!(
+            health,
+            SolveHealth::Stalled { .. } | SolveHealth::Diverged { .. }
+        );
+        if !restartable || self.restarts >= config.max_restarts {
+            self.health = health;
+            return true;
+        }
+        self.restarts += 1;
+        if self.restarts == 1 {
+            // First restart: keep the consensus iterate (scrubbed of any
+            // non-finite entries), drop the duals, double ρ.
+            ws.reset_for_restart(block, config.initial_value);
+            self.rho = config.rho * 2.0;
+        } else {
+            // Later restarts: full cold reset at the original ρ.
+            ws.cold_reset(block, config.initial_value);
+            self.rho = config.rho;
+        }
+        self.attempt = 0;
+        self.best_combined = f64::INFINITY;
+        self.stalled_for = 0;
+        false
+    }
+
+    /// Merge the block's per-shard residual partials (in shard
+    /// order — the fixed, thread-count-independent reduction order), test
+    /// convergence, run the watchdogs and residual-balancing ρ
+    /// adaptation. Returns the outcome when the attempt stops.
+    fn check(
+        &mut self,
+        config: &AdmmConfig,
+        ws: &Workspace,
+        block: &Block,
+        partials: &[ShardPartials],
+        timed_out: bool,
+        residual: &mut f64,
+    ) -> Option<SolveHealth> {
         let mut primal_sq = 0.0f64;
         let mut y_norm_sq = 0.0f64;
         let mut z_norm_sq = 0.0f64;
         let mut dual_sq = 0.0f64;
-        for p in partials {
+        for p in &partials[block.shards.clone()] {
             primal_sq += f_load(&p.primal_sq);
             y_norm_sq += f_load(&p.y_norm_sq);
             z_norm_sq += f_load(&p.z_norm_sq);
@@ -1149,63 +1482,47 @@ impl LoopState {
             && z_norm_sq.is_finite()
             && dual_sq.is_finite())
         {
-            self.stop_health = Some(SolveHealth::Diverged {
-                at: self.iterations,
-            });
-            return true;
+            return Some(SolveHealth::Diverged { at: self.attempt });
         }
+        let combined = primal_sq.sqrt() + self.rho * dual_sq.sqrt();
+        *residual = residual.max(combined);
 
-        if let Some(hist) = &self.residual_hist {
-            hist.record(primal_sq.sqrt() + self.rho * dual_sq.sqrt());
-        }
-
-        let m = self.total_copies;
+        let m = block.slots.len() as f64;
         let eps_pri =
             config.eps_abs * m.sqrt() + config.eps_rel * y_norm_sq.sqrt().max(z_norm_sq.sqrt());
         let eps_dual =
             config.eps_abs * m.sqrt() + config.eps_rel * self.rho * dual_sq.sqrt().max(1.0);
         if primal_sq.sqrt() <= eps_pri && self.rho * dual_sq.sqrt() <= eps_dual {
-            self.converged = true;
-            return true;
+            return Some(SolveHealth::Converged);
         }
 
         // Stall watchdog: the combined residual must set a new best within
         // the window. (The fault harness can force a stall to exercise the
         // recovery path without constructing a genuinely stuck program.)
         if crate::fault::take(crate::fault::Fault::SolverStall) {
-            self.stop_health = Some(SolveHealth::Stalled {
-                at: self.iterations,
-            });
-            return true;
+            return Some(SolveHealth::Stalled { at: self.attempt });
         }
         if config.stall_window > 0 {
-            let combined = primal_sq.sqrt() + self.rho * dual_sq.sqrt();
             if combined < self.best_combined {
                 self.best_combined = combined;
                 self.stalled_for = 0;
             } else {
                 self.stalled_for += 1;
                 if self.stalled_for >= config.stall_window {
-                    self.stop_health = Some(SolveHealth::Stalled {
-                        at: self.iterations,
-                    });
-                    return true;
+                    return Some(SolveHealth::Stalled { at: self.attempt });
                 }
             }
         }
 
         // Time budget: checked last so a converging final iteration still
         // reports convergence.
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                self.stop_health = Some(SolveHealth::TimedOut);
-                return true;
-            }
+        if timed_out {
+            return Some(SolveHealth::TimedOut);
         }
 
         // Residual balancing (τ = 2, μ = 10). Scaled duals u = λ/ρ, so
         // changing ρ requires rescaling u to keep λ unchanged.
-        if config.adaptive_rho && self.iterations.is_multiple_of(50) {
+        if config.adaptive_rho && self.attempt.is_multiple_of(50) {
             let primal = primal_sq.sqrt();
             let dual = self.rho * dual_sq.sqrt();
             let factor = if primal > 10.0 * dual {
@@ -1217,24 +1534,10 @@ impl LoopState {
             };
             if factor != 1.0 {
                 self.rho *= factor;
-                ws.rescale_duals(factor);
+                ws.rescale_duals(block, factor);
             }
         }
-        false
-    }
-
-    fn into_outcome(self) -> LoopOutcome {
-        let health = if self.converged {
-            SolveHealth::Converged
-        } else {
-            self.stop_health.unwrap_or(SolveHealth::Capped)
-        };
-        LoopOutcome {
-            iterations: self.iterations,
-            health,
-            local_time: self.local_time,
-            consensus_time: self.consensus_time,
-        }
+        (self.attempt >= config.max_iterations).then_some(SolveHealth::Capped)
     }
 }
 
@@ -1581,7 +1884,141 @@ mod tests {
         let sol = solve(&[], &[], 4);
         assert!(sol.converged);
         assert_eq!(sol.iterations, 0);
+        assert_eq!(sol.components, 0);
         assert_eq!(sol.values, vec![0.5; 4]);
+    }
+
+    /// A connected chain over the `len` variables `offset + stride·i`:
+    /// four potentials per link — one component of `4·(len − 1)` terms.
+    /// `scale` weights the pulls, which changes how fast it converges.
+    fn chain(len: usize, stride: usize, offset: usize, scale: f64) -> Vec<GroundPotential> {
+        let var = |i: usize| offset + stride * i;
+        let mut out = Vec::new();
+        for i in 0..len - 1 {
+            let (a, b) = (var(i), var(i + 1));
+            out.push(pot(&[(a, 1.0), (b, -1.0)], -0.1, scale));
+            out.push(pot(&[(b, 1.0), (a, -1.0)], 0.2, 1.0));
+            out.push(pot(&[(a, -1.0)], 0.7, 0.5 * scale));
+            out.push(pot(&[(b, 1.0)], -0.2, 1.5));
+        }
+        out
+    }
+
+    /// `chain(10, ..)` on the even variables and a differently weighted
+    /// `chain(6, ..)` on the odd ones: two blocks with interleaved ids.
+    fn two_chains() -> (Vec<GroundPotential>, usize) {
+        let mut potentials = chain(10, 2, 0, 1.0);
+        potentials.extend(chain(6, 2, 1, 7.0));
+        (potentials, 20)
+    }
+
+    #[test]
+    fn blocks_solve_exactly_as_alone_and_stop_on_their_own_residuals() {
+        let (potentials, n) = two_chains();
+        let sol = AdmmSolver::new(&potentials, &[], n).solve(&base_config());
+        assert!(sol.converged);
+        assert_eq!(sol.components, 2);
+        let (long, short) = (chain(10, 1, 0, 1.0), chain(6, 1, 0, 7.0));
+        let long_sol = AdmmSolver::new(&long, &[], 10).solve(&base_config());
+        let short_sol = AdmmSolver::new(&short, &[], 6).solve(&base_config());
+        for i in 0..10 {
+            assert_eq!(sol.values[2 * i].to_bits(), long_sol.values[i].to_bits());
+        }
+        for i in 0..6 {
+            assert_eq!(
+                sol.values[2 * i + 1].to_bits(),
+                short_sol.values[i].to_bits()
+            );
+        }
+        assert_eq!(
+            sol.iterations,
+            long_sol.iterations.max(short_sol.iterations)
+        );
+        assert_eq!(
+            sol.term_updates,
+            long_sol.term_updates + short_sol.term_updates
+        );
+        assert!(
+            sol.term_updates < sol.iterations * potentials.len(),
+            "the blocks stop at different iterations"
+        );
+    }
+
+    #[test]
+    fn components_below_the_block_size_share_one_block() {
+        // Two single-variable components of one potential each: too small
+        // for blocks of their own, so they iterate together, exactly as
+        // the program made of them alone.
+        let (mut potentials, n) = two_chains();
+        let tiny = vec![pot(&[(0, 1.0)], -0.3, 1.0), pot(&[(1, -1.0)], 0.6, 2.0)];
+        potentials.extend(tiny.iter().map(|p| GroundPotential {
+            expr: lin(
+                &[(p.expr.terms[0].0 + n, p.expr.terms[0].1)],
+                p.expr.constant,
+            ),
+            ..p.clone()
+        }));
+        let sol = AdmmSolver::new(&potentials, &[], n + 2).solve(&base_config());
+        assert_eq!(sol.components, 3);
+        let alone = AdmmSolver::new(&tiny, &[], 2).solve(&base_config());
+        assert_eq!(alone.components, 1);
+        for i in 0..2 {
+            assert_eq!(sol.values[n + i].to_bits(), alone.values[i].to_bits());
+        }
+    }
+
+    #[test]
+    fn interrupted_split_solve_resumes_from_its_dual_state_exactly() {
+        // Stop every block after its first iteration, then resume from the
+        // returned values and duals: the pair must finish bit-identical to
+        // one uninterrupted solve.
+        let (potentials, n) = two_chains();
+        let solver = AdmmSolver::new(&potentials, &[], n);
+        let cfg = base_config();
+        let (first, duals) = solver.solve_warm(
+            &AdmmConfig {
+                max_iterations: 1,
+                ..cfg.clone()
+            },
+            WarmStart::default(),
+        );
+        assert_eq!(first.health, SolveHealth::Capped);
+        let (resumed, _) = solver.solve_warm(
+            &cfg,
+            WarmStart {
+                values: Some(&first.values),
+                duals: Some(&duals),
+            },
+        );
+        let straight = solver.solve(&cfg);
+        assert!(resumed.converged && resumed.components == 2);
+        assert_eq!(1 + resumed.iterations, straight.iterations);
+        assert_eq!(
+            first.term_updates + resumed.term_updates,
+            straight.term_updates
+        );
+        for (v, (a, b)) in resumed.values.iter().zip(&straight.values).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "var {v}");
+        }
+    }
+
+    #[test]
+    fn injected_stall_in_a_split_solve_is_reported_and_recovered() {
+        let (potentials, n) = two_chains();
+        let solver = AdmmSolver::new(&potentials, &[], n);
+        crate::fault::arm(crate::fault::Fault::SolverStall);
+        let stalled = solver.solve(&base_config());
+        assert_eq!(stalled.components, 2);
+        assert_eq!(stalled.health, SolveHealth::Stalled { at: 1 });
+        assert!(!stalled.converged);
+
+        crate::fault::arm(crate::fault::Fault::SolverStall);
+        let sol = solver.solve(&AdmmConfig {
+            max_restarts: 2,
+            ..base_config()
+        });
+        assert_eq!(sol.restarts, 1);
+        assert!(sol.converged, "health: {:?}", sol.health);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use cms_psl::{
     ground_rule, AdmmConfig, AdmmSolver, ConstraintKind, Database, GroundAtom, GroundConstraint,
-    GroundPotential, GroundSink, LinExpr, RuleBuilder, VarRegistry, Vocabulary,
+    GroundPotential, GroundSink, LinExpr, RuleBuilder, VarRegistry, Vocabulary, WarmStart,
 };
 use proptest::prelude::*;
 
@@ -84,6 +84,212 @@ proptest! {
         }
         let re = solver.objective(&sol.values);
         prop_assert!((re - sol.objective).abs() < 1e-9);
+    }
+}
+
+/// Variables per sub-program of [`arb_block`].
+const BLOCK_VARS: usize = 5;
+
+/// A random connected sub-program over `BLOCK_VARS` local variables, large
+/// enough to be solved as a block of its own (at least 16 terms): a chain
+/// of four randomly weighted potentials per link, then random potentials
+/// and up to two averaged half-space or hyperplane constraints.
+fn arb_block() -> impl Strategy<Value = (Vec<GroundPotential>, Vec<GroundConstraint>)> {
+    let link = (-2i32..=2, 1u32..4, any::<bool>());
+    let constraint = (0..BLOCK_VARS, 0..BLOCK_VARS, 0.2f64..0.9, any::<bool>()).prop_map(
+        |(a, b, cap, equality)| {
+            let mut expr = LinExpr::constant(-cap);
+            expr.add_term(a, 0.5);
+            expr.add_term(b, 0.5);
+            expr.normalize();
+            GroundConstraint {
+                expr,
+                kind: if equality {
+                    ConstraintKind::EqZero
+                } else {
+                    ConstraintKind::LeqZero
+                },
+                origin: String::new(),
+            }
+        },
+    );
+    (
+        prop::collection::vec(link, 4 * (BLOCK_VARS - 1)),
+        arb_potentials(BLOCK_VARS),
+        prop::collection::vec(constraint, 0..3),
+    )
+        .prop_map(|(links, extra, constraints)| {
+            let mut potentials: Vec<GroundPotential> = links
+                .into_iter()
+                .enumerate()
+                .map(|(k, (constant, w, squared))| {
+                    let (i, sign) = (k / 4, if k % 2 == 0 { 1.0 } else { -1.0 });
+                    let mut expr = LinExpr::constant(constant as f64 * 0.25);
+                    expr.add_term(i, sign);
+                    expr.add_term(i + 1, -sign);
+                    expr.normalize();
+                    GroundPotential {
+                        expr,
+                        weight: w as f64,
+                        squared,
+                        origin: String::new(),
+                    }
+                })
+                .collect();
+            potentials.extend(extra);
+            (potentials, constraints)
+        })
+}
+
+/// A random sub-program too small for a block of its own: one to three
+/// potentials on two variables.
+fn arb_tiny_block() -> impl Strategy<Value = (Vec<GroundPotential>, Vec<GroundConstraint>)> {
+    let term = (0..2usize, prop::sample::select(vec![-1.0, 1.0]));
+    let potential = (term, -2i32..=2, 1u32..4).prop_map(|((v, c), constant, w)| {
+        let mut expr = LinExpr::constant(constant as f64 * 0.5);
+        expr.add_term(v, c);
+        GroundPotential {
+            expr,
+            weight: w as f64,
+            squared: false,
+            origin: String::new(),
+        }
+    });
+    prop::collection::vec(potential, 1..4).prop_map(|p| (p, Vec::new()))
+}
+
+/// Interleave `k` term lists round-robin, relabelling list `b`'s local
+/// variable `i` to `i·k + b` so the lists' variable ids interleave too.
+/// Returns the merged list and, per list, each term's merged index.
+fn interleave<T: Clone>(
+    blocks: &[&[T]],
+    expr: impl Fn(&mut T) -> &mut LinExpr,
+) -> (Vec<T>, Vec<Vec<usize>>) {
+    let k = blocks.len();
+    let mut merged = Vec::new();
+    let mut index: Vec<Vec<usize>> = vec![Vec::new(); k];
+    let longest = blocks.iter().map(|b| b.len()).max().unwrap_or(0);
+    for j in 0..longest {
+        for (b, block) in blocks.iter().enumerate() {
+            if let Some(term) = block.get(j) {
+                let mut term = term.clone();
+                for (v, _) in &mut expr(&mut term).terms {
+                    *v = *v * k + b;
+                }
+                index[b].push(merged.len());
+                merged.push(term);
+            }
+        }
+    }
+    (merged, index)
+}
+
+type SubProgram = (Vec<GroundPotential>, Vec<GroundConstraint>);
+
+/// Interleave sub-programs (see [`interleave`]) into one program.
+fn interleave_programs(parts: &[&SubProgram]) -> (SubProgram, Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let pots: Vec<&[GroundPotential]> = parts.iter().map(|b| &b.0[..]).collect();
+    let cons: Vec<&[GroundConstraint]> = parts.iter().map(|b| &b.1[..]).collect();
+    let (potentials, pot_index) = interleave(&pots, |p| &mut p.expr);
+    let (constraints, con_index) = interleave(&cons, |c| &mut c.expr);
+    ((potentials, constraints), pot_index, con_index)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Solving a program made of disjoint sub-programs (interleaved
+    /// variable ids and term order) gives every block-sized sub-program
+    /// exactly the value and dual bits it gets when solved alone, and the
+    /// tiny ones exactly the bits of the program made of the tiny ones
+    /// alone (they share one block); the merged counters follow the merge
+    /// rules, and the split solve is bit-identical at every thread count
+    /// on the forced parallel path.
+    #[test]
+    fn independent_components_solve_exactly_as_separate_programs(
+        blocks in prop::collection::vec(arb_block(), 2..4),
+        tiny in prop::collection::vec(arb_tiny_block(), 0..3),
+    ) {
+        let parts: Vec<&SubProgram> = blocks.iter().chain(&tiny).collect();
+        let k = parts.len();
+        let ((potentials, constraints), pot_index, con_index) = interleave_programs(&parts);
+        let cfg = AdmmConfig {
+            threads: 1,
+            parallel_threshold: 0, // engage the parallel path at any size
+            shard_slots: 3,        // several shards per block
+            max_iterations: 400,
+            ..AdmmConfig::default()
+        };
+        let solver = AdmmSolver::new(&potentials, &constraints, BLOCK_VARS * k);
+        let (whole, duals) = solver.solve_warm(&cfg, WarmStart::default());
+
+        // Each block-sized part alone, then the tiny parts as one program:
+        // (values, duals, merged-program ids of its variables and terms).
+        let tiny_parts: Vec<&SubProgram> = tiny.iter().collect();
+        let ((tiny_pots, tiny_cons), tiny_pot_index, tiny_con_index) =
+            interleave_programs(&tiny_parts);
+        let mut expected = Vec::new();
+        for (b, (bp, bc)) in blocks.iter().enumerate() {
+            let alone = AdmmSolver::new(bp, bc, BLOCK_VARS).solve_warm(&cfg, WarmStart::default());
+            let vars: Vec<usize> = (0..BLOCK_VARS).map(|i| i * k + b).collect();
+            expected.push((alone, vars, pot_index[b].clone(), con_index[b].clone()));
+        }
+        if !tiny.is_empty() {
+            let t = tiny.len();
+            let alone = AdmmSolver::new(&tiny_pots, &tiny_cons, BLOCK_VARS * t)
+                .solve_warm(&cfg, WarmStart::default());
+            // Tiny part j's variable i sits at i·t + j alone and at
+            // i·k + (blocks + j) in the whole program.
+            let mut vars = vec![usize::MAX; BLOCK_VARS * t];
+            let (mut pots, mut cons) = (vec![0; tiny_pots.len()], vec![0; tiny_cons.len()]);
+            for j in 0..t {
+                for i in 0..BLOCK_VARS {
+                    vars[i * t + j] = i * k + blocks.len() + j;
+                }
+                for (a, &m) in tiny_pot_index[j].iter().zip(&pot_index[blocks.len() + j]) {
+                    pots[*a] = m;
+                }
+                for (a, &m) in tiny_con_index[j].iter().zip(&con_index[blocks.len() + j]) {
+                    cons[*a] = m;
+                }
+            }
+            expected.push((alone, vars, pots, cons));
+        }
+
+        let (mut iterations, mut components, mut updates, mut converged) = (0, 0, 0, true);
+        for ((alone, alone_duals), vars, pots, cons) in &expected {
+            iterations = iterations.max(alone.iterations);
+            components += alone.components;
+            updates += alone.term_updates;
+            converged &= alone.converged;
+            for (i, &v) in vars.iter().enumerate() {
+                prop_assert_eq!(whole.values[v].to_bits(), alone.values[i].to_bits(),
+                    "variable {}", v);
+            }
+            for (j, &m) in pots.iter().enumerate() {
+                prop_assert_eq!(&duals.potential_duals()[m], &alone_duals.potential_duals()[j],
+                    "potential {}", m);
+            }
+            for (j, &m) in cons.iter().enumerate() {
+                prop_assert_eq!(&duals.constraint_duals()[m], &alone_duals.constraint_duals()[j],
+                    "constraint {}", m);
+            }
+        }
+        prop_assert_eq!(whole.iterations, iterations);
+        prop_assert_eq!(whole.components, components);
+        prop_assert_eq!(whole.term_updates, updates);
+        prop_assert_eq!(whole.converged, converged);
+
+        for threads in [2usize, 4, 7] {
+            let par = solver.solve(&AdmmConfig { threads, ..cfg.clone() });
+            prop_assert_eq!(par.iterations, whole.iterations, "threads={}", threads);
+            prop_assert_eq!(par.health, whole.health, "threads={}", threads);
+            prop_assert_eq!(par.objective.to_bits(), whole.objective.to_bits(),
+                "threads={}", threads);
+            for (v, (a, b)) in whole.values.iter().zip(&par.values).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={} var={}", threads, v);
+            }
+        }
     }
 }
 

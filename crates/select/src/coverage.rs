@@ -508,6 +508,20 @@ impl CoverageModel {
             .collect()
     }
 
+    /// The inverse of [`CoverageModel::covers`]: for each target, the
+    /// `(candidate, degree)` pairs covering it, candidates ascending
+    /// (`covers` holds at most one entry per target, so each candidate
+    /// appears once).
+    pub fn covers_by_target(&self) -> Vec<Vec<(usize, f64)>> {
+        let mut by_target = vec![Vec::new(); self.targets.len()];
+        for (c, cand) in self.covers.iter().enumerate() {
+            for &(t, d) in cand {
+                by_target[t].push((c, d));
+            }
+        }
+        by_target
+    }
+
     /// The inverse of [`ErrorGroup::creators`]: for each candidate, the
     /// indices of the error groups it creates, ascending and each once
     /// (even when a group lists the candidate as a creator twice).
@@ -972,5 +986,29 @@ pub(crate) mod tests {
         let model = CoverageModel::build(&i, &j, &[c]);
         assert_eq!(model.cover(0, 0), 1.0);
         assert!(model.errors.is_empty());
+    }
+
+    #[test]
+    fn covers_by_target_inverts_covers() {
+        use crate::selectors::test_support::{appendix_model, generated_model};
+        for model in [appendix_model(), generated_model()] {
+            let by_target = model.covers_by_target();
+            assert_eq!(by_target.len(), model.num_targets());
+            let mut inverted = vec![Vec::new(); model.num_candidates];
+            for (t, covering) in by_target.iter().enumerate() {
+                assert!(covering.windows(2).all(|w| w[0].0 < w[1].0), "ascending");
+                for &(c, d) in covering {
+                    inverted[c].push((t, d));
+                }
+            }
+            for cand in &mut inverted {
+                cand.sort_by_key(|&(t, _)| t);
+            }
+            let mut covers = model.covers.clone();
+            for cand in &mut covers {
+                cand.sort_by_key(|&(t, _)| t);
+            }
+            assert_eq!(inverted, covers);
+        }
     }
 }

@@ -139,11 +139,10 @@ pub fn build_eval_program(
             .build(),
     );
     // Explanation cap per target (raw constraints; exact-atom dirtiness).
-    for t in 0..model.num_targets() {
+    for (t, covering) in model.covers_by_target().into_iter().enumerate() {
         let mut lin = AtomLin::new();
         lin.add(explained(t), 1.0);
-        for c in 0..model.num_candidates {
-            let d = model.cover(c, t);
+        for (c, d) in covering {
             if d > 0.0 {
                 lin.add(in_map(c), -d);
             }
@@ -522,5 +521,34 @@ mod tests {
             "no-op batch must not solve"
         );
         assert_eq!(warm.telemetry.flips, flips);
+    }
+    #[test]
+    fn eval_explain_caps_match_the_pairwise_scan() {
+        use crate::selectors::test_support::{
+            appendix_model, explain_caps_by_scan, generated_model, known_optimum_model,
+        };
+        let w = ObjectiveWeights::unweighted();
+        for model in [appendix_model(), known_optimum_model().0, generated_model()] {
+            // With every candidate selected, each cap folds its inMap
+            // terms into the constant −Σ degree, summed in candidate order.
+            let all: Vec<usize> = (0..model.num_candidates).collect();
+            let (program, _) = build_eval_program(&model, &w, &all);
+            let ground = program.ground().unwrap();
+            let constants: Vec<u64> = ground
+                .constraints
+                .iter()
+                .filter(|c| c.origin == "explain-cap")
+                .map(|c| c.expr.constant.to_bits())
+                .collect();
+            let expected: Vec<u64> = explain_caps_by_scan(&model)
+                .iter()
+                .map(|cap| {
+                    cap.iter()
+                        .fold(0.0, |acc, &(_, d)| acc + -d * 1.0)
+                        .to_bits()
+                })
+                .collect();
+            assert_eq!(constants, expected);
+        }
     }
 }

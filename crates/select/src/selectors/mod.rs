@@ -209,4 +209,30 @@ pub(crate) mod test_support {
         let (_, _, i, j, cands) = crate::coverage::tests::running_example();
         CoverageModel::build(&i, &j, &cands)
     }
+
+    /// A generated model: `all_primitives(2)`, 15 rows, 25% noise.
+    pub fn generated_model() -> CoverageModel {
+        let scenario = cms_ibench::generate(&cms_ibench::ScenarioConfig {
+            rows_per_relation: 15,
+            noise: cms_ibench::NoiseConfig::uniform(25.0),
+            seed: 3,
+            ..cms_ibench::ScenarioConfig::all_primitives(2)
+        });
+        CoverageModel::build(&scenario.source, &scenario.target, &scenario.candidates)
+    }
+
+    /// Per target, its explain cap's `(candidate, degree)` terms as the
+    /// `build_program` and `build_eval_program` once found them: every
+    /// (target, candidate) pair
+    /// through [`CoverageModel::cover`].
+    pub fn explain_caps_by_scan(model: &CoverageModel) -> Vec<Vec<(usize, f64)>> {
+        (0..model.num_targets())
+            .map(|t| {
+                (0..model.num_candidates)
+                    .map(|c| (c, model.cover(c, t)))
+                    .filter(|&(_, d)| d > 0.0)
+                    .collect()
+            })
+            .collect()
+    }
 }

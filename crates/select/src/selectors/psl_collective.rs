@@ -14,8 +14,13 @@
 //! (R5)  w3·size(θ) :  inMap(θ) → 0       (raw hinge; size prior)
 //! ```
 //!
-//! MAP inference (consensus ADMM) yields relaxed `inMap` truths in [0,1];
-//! the final discrete mapping is the best of (a) every threshold rounding
+//! MAP inference is one consensus-ADMM solve of the ground program. The
+//! program separates over the coverage model's independent components —
+//! candidates interact only through a target both cover or an error group
+//! both create — and the solver stops each component (small ones grouped
+//! into one block) on its own residual; see the `cms_psl::admm` module
+//! docs. It yields relaxed `inMap` truths in [0,1]; the final discrete
+//! mapping is the best of (a) every threshold rounding
 //! and (b) a greedy repair seeded by the best rounding, both evaluated
 //! under the true discrete objective. The LP objective of the integral
 //! points coincides with `F(M)` except that `explains` is the capped *sum*
@@ -27,12 +32,8 @@ use crate::coverage::CoverageModel;
 use crate::objective::{Objective, ObjectiveWeights};
 use cms_psl::{
     best_threshold_rounding, rvar, AdmmConfig, AtomLin, ConstraintKind, GroundAtom, GroundProgram,
-    MapSolution, Program, RuleBuilder, Vocabulary,
+    Program, RuleBuilder, Vocabulary,
 };
-
-/// Iteration budget of the coarse first ADMM pass; the refinement pass is
-/// warm-started from its consensus (see [`PslCollective::solve_two_stage`]).
-const COARSE_BURST: usize = 200;
 
 /// The collective PSL selector.
 #[derive(Clone, Debug)]
@@ -62,7 +63,8 @@ impl Default for PslCollective {
 pub struct PslRun {
     /// Relaxed `inMap` truth value per candidate.
     pub relaxed: Vec<f64>,
-    /// ADMM iterations.
+    /// ADMM iterations of the longest-running block (see
+    /// [`cms_psl::AdmmSolution::iterations`]).
     pub iterations: usize,
     /// Whether ADMM converged within its budget.
     pub converged: bool,
@@ -72,55 +74,23 @@ pub struct PslRun {
     pub soft_objective: f64,
     /// Ground potentials + constraints (model size proxy).
     pub ground_terms: usize,
-    /// Health of the final solve pass (see [`cms_psl::SolveHealth`]).
+    /// Health of the solve (see [`cms_psl::SolveHealth`]).
     pub health: cms_psl::SolveHealth,
-    /// Watchdog restarts absorbed across both solve passes.
+    /// Watchdog restarts absorbed by the solve.
     pub restarts: usize,
 }
 
 impl PslCollective {
-    /// Coarse-then-refine MAP inference: a bounded first pass, then — if
-    /// it has not converged — a **warm-started** refinement pass
-    /// ([`GroundProgram::solve_warm_dual`]) seeded with the coarse
-    /// consensus *and* the coarse dual state (so refinement genuinely
-    /// resumes the interrupted solve instead of re-learning the duals),
-    /// capped at the *remaining* iteration budget so the combined count
-    /// never exceeds `self.admm.max_iterations`. Returns the final
-    /// solution and the total iterations across both passes.
-    fn solve_two_stage(&self, ground: &GroundProgram) -> (MapSolution, usize) {
-        let coarse_cfg = AdmmConfig {
-            max_iterations: self.admm.max_iterations.min(COARSE_BURST),
-            ..self.admm.clone()
-        };
-        let (coarse, duals) = ground.solve_warm_dual(&coarse_cfg, &[], None);
-        if coarse.admm.converged || self.admm.max_iterations <= COARSE_BURST {
-            let iterations = coarse.admm.iterations;
-            return (coarse, iterations);
-        }
-        let refine_cfg = AdmmConfig {
-            max_iterations: self.admm.max_iterations - coarse.admm.iterations,
-            ..self.admm.clone()
-        };
-        // An unhealthy coarse pass (stalled/diverged/timed out) is not a
-        // trustworthy seed — refinement then starts cold instead of
-        // resuming from a state the watchdog already condemned.
-        let (refined, _) = if coarse.admm.health.is_nominal() {
-            ground.solve_warm_dual(&refine_cfg, &coarse.admm.values, Some(&duals))
-        } else {
-            ground.solve_warm_dual(&refine_cfg, &[], None)
-        };
-        let iterations = coarse.admm.iterations + refined.admm.iterations;
-        (refined, iterations)
-    }
-
-    /// Read the relaxed `inMap` truths out of a solution.
-    fn read_relaxed(
+    /// Solve a grounded program once and read the relaxed `inMap` truths
+    /// out of the solution.
+    fn run(
+        &self,
         model: &CoverageModel,
         ground: &GroundProgram,
-        solution: &MapSolution,
         in_map_p: cms_psl::PredId,
-    ) -> Vec<f64> {
-        (0..model.num_candidates)
+    ) -> PslRun {
+        let solution = ground.solve(&self.admm);
+        let relaxed = (0..model.num_candidates)
             .map(|c| {
                 solution
                     .value(
@@ -129,7 +99,16 @@ impl PslCollective {
                     )
                     .unwrap_or(0.0)
             })
-            .collect()
+            .collect();
+        PslRun {
+            relaxed,
+            iterations: solution.admm.iterations,
+            converged: solution.admm.converged,
+            soft_objective: solution.total_objective(),
+            ground_terms: ground.potentials.len() + ground.constraints.len(),
+            health: solution.admm.health,
+            restarts: solution.admm.restarts,
+        }
     }
 
     /// Build the program, run MAP inference, and return the relaxed state.
@@ -141,16 +120,7 @@ impl PslCollective {
     ) -> Result<PslRun, SelectError> {
         let (program, in_map_p) = self.build_program(model, weights);
         let ground = program.ground()?;
-        let (solution, iterations) = self.solve_two_stage(&ground);
-        Ok(PslRun {
-            relaxed: Self::read_relaxed(model, &ground, &solution, in_map_p),
-            iterations,
-            converged: solution.admm.converged,
-            soft_objective: solution.total_objective(),
-            ground_terms: ground.potentials.len() + ground.constraints.len(),
-            health: solution.admm.health,
-            restarts: solution.admm.restarts,
-        })
+        Ok(self.run(model, &ground, in_map_p))
     }
 
     /// Build the hand-compiled ("raw") PSL program for a coverage model.
@@ -203,11 +173,10 @@ impl PslCollective {
                 .build(),
         );
         // (R2) explanation cap per target.
-        for t in 0..model.num_targets() {
+        for (t, covering) in model.covers_by_target().into_iter().enumerate() {
             let mut lin = AtomLin::new();
             lin.add(explained(t), 1.0);
-            for c in 0..model.num_candidates {
-                let d = model.cover(c, t);
+            for (c, d) in covering {
                 if d > 0.0 {
                     lin.add(in_map(c), -d);
                 }
@@ -253,16 +222,7 @@ impl PslCollective {
     ) -> Result<PslRun, SelectError> {
         let (program, in_map_p) = self.build_declarative_program(model, weights);
         let ground = program.ground()?;
-        let (solution, iterations) = self.solve_two_stage(&ground);
-        Ok(PslRun {
-            relaxed: Self::read_relaxed(model, &ground, &solution, in_map_p),
-            iterations,
-            converged: solution.admm.converged,
-            soft_objective: solution.total_objective(),
-            ground_terms: ground.potentials.len() + ground.constraints.len(),
-            health: solution.admm.health,
-            restarts: solution.admm.restarts,
-        })
+        Ok(self.run(model, &ground, in_map_p))
     }
 
     /// Build the declarative-rule variant of the program (logical +
@@ -543,6 +503,44 @@ mod tests {
                 (a - b).abs() < 5e-3,
                 "appendix candidate {c}: raw {a} vs declarative {b}"
             );
+        }
+    }
+
+    #[test]
+    fn explain_caps_match_the_pairwise_scan() {
+        use super::super::test_support::{explain_caps_by_scan, generated_model};
+        let w = ObjectiveWeights::unweighted();
+        for model in [appendix_model(), known_optimum_model().0, generated_model()] {
+            let (program, in_map_p) = PslCollective::default().build_program(&model, &w);
+            let ground = program.ground().unwrap();
+            let caps: Vec<_> = ground
+                .constraints
+                .iter()
+                .filter(|c| c.origin == "explain-cap")
+                .collect();
+            let expected = explain_caps_by_scan(&model);
+            assert_eq!(caps.len(), expected.len());
+            for (cap, want) in caps.iter().zip(expected) {
+                let in_map = |c: usize| {
+                    let atom = GroundAtom::from_strs(in_map_p, &[&format!("c{c}")]);
+                    ground.var_of(&atom).unwrap()
+                };
+                let mut want: Vec<(usize, u64)> = want
+                    .iter()
+                    .map(|&(c, d)| (in_map(c), (-d).to_bits()))
+                    .collect();
+                let mut got: Vec<(usize, u64)> = cap
+                    .expr
+                    .terms
+                    .iter()
+                    .filter(|&&(_, coef)| coef < 0.0)
+                    .map(|&(v, coef)| (v, coef.to_bits()))
+                    .collect();
+                want.sort_unstable();
+                got.sort_unstable();
+                assert_eq!(got, want);
+                assert_eq!(cap.expr.terms.len(), want.len() + 1, "plus explained(t)");
+            }
         }
     }
 
