@@ -8,10 +8,22 @@
 //! (`Program::ground`) and `ground-naive/N` the retained nested-loop
 //! reference (`Program::ground_naive`). The committed
 //! `BENCH_grounding_baseline.json` snapshot records both and their ratio.
+//!
+//! On the benchmark's `data-scale` point (`all_primitives(4)`, 100 rows,
+//! 25% noise, seed 7, preprocessed), `psl-program/ds100` times the
+//! reference route to the selector's ground terms
+//! (`PslCollective::build_program` + `Program::ground`) and
+//! `psl-compile/ds100` the direct `PslCollective::compile` that
+//! `PslCollective::infer` uses; CI gates their same-run ratio.
 
 use cms_ibench::{generate, NoiseConfig, ScenarioConfig};
-use cms_select::{CoverageModel, ObjectiveWeights, PslCollective};
+use cms_select::{preprocess, CoverageModel, ObjectiveWeights, PslCollective};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+
+/// `cargo test` runs bench targets with `--test`: shrink the `ds100` model.
+fn test_mode() -> bool {
+    std::env::args().any(|a| a == "--test" || a == "--quick")
+}
 
 fn bench_grounding(c: &mut Criterion) {
     let mut group = c.benchmark_group("grounding");
@@ -72,6 +84,26 @@ fn bench_grounding(c: &mut Criterion) {
             },
         );
     }
+
+    let scenario = generate(&ScenarioConfig {
+        rows_per_relation: if test_mode() { 10 } else { 100 },
+        noise: NoiseConfig::uniform(25.0),
+        seed: 7,
+        ..ScenarioConfig::all_primitives(4)
+    });
+    let model = CoverageModel::build(&scenario.source, &scenario.target, &scenario.candidates);
+    let (reduced, _) = preprocess(&model);
+    let psl = PslCollective::default();
+    let weights = ObjectiveWeights::unweighted();
+    group.bench_with_input(BenchmarkId::new("psl-program", "ds100"), &(), |b, ()| {
+        b.iter(|| {
+            let (program, _) = psl.build_program(std::hint::black_box(&reduced), &weights);
+            program.ground().expect("grounds")
+        });
+    });
+    group.bench_with_input(BenchmarkId::new("psl-compile", "ds100"), &(), |b, ()| {
+        b.iter(|| psl.compile(std::hint::black_box(&reduced), &weights));
+    });
     group.finish();
 }
 

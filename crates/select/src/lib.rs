@@ -41,6 +41,6 @@ pub use preprocess::{preprocess, PreprocessReport};
 pub use reduction::{build_reduction, SetCoverInstance};
 pub use relaxation::{build_eval_program, EvalPreds, WarmRelaxation};
 pub use selectors::{
-    BranchBound, Exhaustive, FixedSelection, Greedy, IndependentBaseline, LocalSearch,
-    PslCollective, SelectError, Selection, SelectionTelemetry, Selector,
+    BranchBound, CompiledProgram, Exhaustive, FixedSelection, Greedy, IndependentBaseline,
+    LocalSearch, PslCollective, SelectError, Selection, SelectionTelemetry, Selector,
 };

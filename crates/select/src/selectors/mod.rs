@@ -22,7 +22,7 @@ pub use branch_bound::BranchBound;
 pub use exhaustive::Exhaustive;
 pub use greedy::Greedy;
 pub use local_search::LocalSearch;
-pub use psl_collective::PslCollective;
+pub use psl_collective::{CompiledProgram, PslCollective};
 
 use crate::coverage::CoverageModel;
 use crate::objective::ObjectiveWeights;

@@ -14,6 +14,27 @@
 //! (R5)  w3·size(θ) :  inMap(θ) → 0       (raw hinge; size prior)
 //! ```
 //!
+//! [`PslCollective::build_program`] states this as a PSL [`Program`]
+//! (atoms, database, one logical rule and raw terms), and grounding it
+//! yields the HL-MRF. [`PslCollective::infer`] skips that detour:
+//! [`PslCollective::compile`] writes the ground terms straight from the
+//! model's dense indices, with variables laid out as
+//!
+//! ```text
+//! explained(t) → t      inMap(c) → |T| + c      err(g) → |T| + |C| + g
+//! ```
+//!
+//! and terms in the grounder's order — potentials R1 per target, R5 per
+//! candidate, R4 per group; constraints R2 per target, R3 per group and
+//! creator. That is exactly what `build_program(..).ground()` produces:
+//! the grounder handles the one logical rule (R1) before the raw terms,
+//! enumerates `tuple` atoms and interns each target atom in insertion
+//! order, which is the order above, and every expression goes through the
+//! same [`LinExpr::normalize`]. No term is observed-only, so the constant
+//! loss is 0. The compiled program is therefore term-for-term the
+//! grounded one, and the ADMM iterates are bit-identical; a unit test
+//! checks the equality on every term, and an integration test the solves.
+//!
 //! MAP inference is one consensus-ADMM solve of the ground program. The
 //! program separates over the coverage model's independent components —
 //! candidates interact only through a target both cover or an error group
@@ -31,8 +52,8 @@ use super::{SelectError, Selection, Selector};
 use crate::coverage::CoverageModel;
 use crate::objective::{Objective, ObjectiveWeights};
 use cms_psl::{
-    best_threshold_rounding, rvar, AdmmConfig, AtomLin, ConstraintKind, GroundAtom, GroundProgram,
-    Program, RuleBuilder, Vocabulary,
+    best_threshold_rounding, rvar, AdmmConfig, AdmmSolution, AdmmSolver, AtomLin, ConstraintKind,
+    GroundAtom, GroundConstraint, GroundPotential, LinExpr, Program, RuleBuilder, Vocabulary,
 };
 
 /// The collective PSL selector.
@@ -42,8 +63,9 @@ pub struct PslCollective {
     pub admm: AdmmConfig,
     /// Run a greedy add/remove repair from the rounded solution.
     pub greedy_repair: bool,
-    /// Square the hinges of the soft rules (quadratic variant; the paper's
-    /// objective is linear, squared is offered for the EX8 ablation).
+    /// Square the hinges of the soft rules R1, R4 and R5 (quadratic
+    /// variant; the paper's objective is linear, squared is offered for the
+    /// EX8 ablation). Every encoding honours it.
     pub squared: bool,
 }
 
@@ -69,8 +91,9 @@ pub struct PslRun {
     /// Whether ADMM converged within its budget.
     pub converged: bool,
     /// Soft MAP objective: the relaxed PSL objective at the final ADMM
-    /// iterate plus the program's constant loss. It scores the continuous
-    /// relaxation, not the rounded selection's Eq. (9) objective.
+    /// iterate plus the program's constant loss (0 for the compiled
+    /// program). It scores the continuous relaxation, not the rounded
+    /// selection's Eq. (9) objective.
     pub soft_objective: f64,
     /// Ground potentials + constraints (model size proxy).
     pub ground_terms: usize,
@@ -80,53 +103,147 @@ pub struct PslRun {
     pub restarts: usize,
 }
 
-impl PslCollective {
-    /// Solve a grounded program once and read the relaxed `inMap` truths
-    /// out of the solution.
-    fn run(
-        &self,
-        model: &CoverageModel,
-        ground: &GroundProgram,
-        in_map_p: cms_psl::PredId,
+impl PslRun {
+    fn new(
+        admm: AdmmSolution,
+        relaxed: Vec<f64>,
+        constant_loss: f64,
+        ground_terms: usize,
     ) -> PslRun {
-        let solution = ground.solve(&self.admm);
-        let relaxed = (0..model.num_candidates)
-            .map(|c| {
-                solution
-                    .value(
-                        ground,
-                        &GroundAtom::from_strs(in_map_p, &[&format!("c{c}")]),
-                    )
-                    .unwrap_or(0.0)
-            })
-            .collect();
         PslRun {
             relaxed,
-            iterations: solution.admm.iterations,
-            converged: solution.admm.converged,
-            soft_objective: solution.total_objective(),
-            ground_terms: ground.potentials.len() + ground.constraints.len(),
-            health: solution.admm.health,
-            restarts: solution.admm.restarts,
+            iterations: admm.iterations,
+            converged: admm.converged,
+            soft_objective: admm.objective + constant_loss,
+            ground_terms,
+            health: admm.health,
+            restarts: admm.restarts,
+        }
+    }
+}
+
+/// The ground HL-MRF of a coverage model over dense variable ids, as
+/// [`PslCollective::compile`] writes it (layout and term order in the
+/// module docs).
+#[derive(Clone, Debug)]
+pub struct CompiledProgram {
+    /// Weighted potentials: R1 per target, R5 per candidate, R4 per group.
+    pub potentials: Vec<GroundPotential>,
+    /// Hard constraints: R2 per target, then R3 per group and creator.
+    pub constraints: Vec<GroundConstraint>,
+    /// `|T| + |C| + |G|`: one variable per target, candidate and group.
+    pub num_vars: usize,
+}
+
+/// A ground expression normalized the way the grounder leaves every term.
+fn normalized(constant: f64, terms: impl IntoIterator<Item = (usize, f64)>) -> LinExpr {
+    let mut expr = LinExpr::constant(constant);
+    expr.terms.extend(terms);
+    expr.normalize();
+    expr
+}
+
+impl PslCollective {
+    /// Compile the coverage model into the raw program's ground terms
+    /// directly: term for term what `build_program(..).ground()` yields,
+    /// without atoms, a database or the grounder (see the module docs).
+    pub fn compile(&self, model: &CoverageModel, weights: &ObjectiveWeights) -> CompiledProgram {
+        let (nt, nc, ng) = (
+            model.num_targets(),
+            model.num_candidates,
+            model.errors.len(),
+        );
+        let in_map = |c: usize| nt + c;
+        let err = |g: usize| nt + nc + g;
+        let soft = |expr: LinExpr, weight: f64, origin: &str| GroundPotential {
+            expr,
+            weight,
+            squared: self.squared,
+            origin: origin.to_owned(),
+        };
+        let hard = |expr: LinExpr, origin: &str| GroundConstraint {
+            expr,
+            kind: ConstraintKind::LeqZero,
+            origin: origin.to_owned(),
+        };
+
+        let mut potentials = Vec::with_capacity(nt + nc + ng);
+        // (R1) 1 − explained(t), as the grounder folds `tuple(t) = 1`.
+        potentials.extend((0..nt).map(|t| {
+            soft(
+                normalized(1.0, [(t, -1.0)]),
+                weights.w_explain,
+                "explain-reward",
+            )
+        }));
+        // (R5) size prior.
+        potentials.extend((0..nc).map(|c| {
+            let weight = weights.w_size * model.sizes[c] as f64;
+            soft(normalized(0.0, [(in_map(c), 1.0)]), weight, "size-prior")
+        }));
+        // (R4) error penalty.
+        potentials.extend((0..ng).map(|g| {
+            soft(
+                normalized(0.0, [(err(g), 1.0)]),
+                weights.w_error,
+                "error-penalty",
+            )
+        }));
+
+        let links: usize = model.errors.iter().map(|g| g.creators.len()).sum();
+        let mut constraints = Vec::with_capacity(nt + links);
+        // (R2) explanation cap per target.
+        for (t, covering) in model.covers_by_target().into_iter().enumerate() {
+            let caps = covering
+                .into_iter()
+                .filter(|&(_, d)| d > 0.0)
+                .map(|(c, d)| (in_map(c), -d));
+            let cap = normalized(0.0, std::iter::once((t, 1.0)).chain(caps));
+            constraints.push(hard(cap, "explain-cap"));
+        }
+        // (R3) error links.
+        for (g, group) in model.errors.iter().enumerate() {
+            constraints.extend(group.creators.iter().map(|&c| {
+                hard(
+                    normalized(0.0, [(in_map(c), 1.0), (err(g), -1.0)]),
+                    "error-link",
+                )
+            }));
+        }
+
+        CompiledProgram {
+            potentials,
+            constraints,
+            num_vars: nt + nc + ng,
         }
     }
 
-    /// Build the program, run MAP inference, and return the relaxed state.
-    /// Grounding failures propagate instead of aborting.
+    /// Compile the model, run MAP inference, and return the relaxed state.
+    /// Infallible — the compiled program needs no grounding — but returns
+    /// a `Result` like [`PslCollective::infer_declarative`].
     pub fn infer(
         &self,
         model: &CoverageModel,
         weights: &ObjectiveWeights,
     ) -> Result<PslRun, SelectError> {
-        let (program, in_map_p) = self.build_program(model, weights);
-        let ground = program.ground()?;
-        Ok(self.run(model, &ground, in_map_p))
+        let program = {
+            let _span = cms_obs::span("psl/compile");
+            self.compile(model, weights)
+        };
+        let solution = AdmmSolver::new(&program.potentials, &program.constraints, program.num_vars)
+            .solve(&self.admm);
+        let first = model.num_targets();
+        let relaxed = solution.values[first..first + model.num_candidates].to_vec();
+        let terms = program.potentials.len() + program.constraints.len();
+        Ok(PslRun::new(solution, relaxed, 0.0, terms))
     }
 
     /// Build the hand-compiled ("raw") PSL program for a coverage model.
     /// Returns the program plus the `inMap` predicate id needed to read the
-    /// relaxed truths back out. Exposed so benches and equivalence tests
-    /// can ground the exact production program without running ADMM.
+    /// relaxed truths back out. This is the reference statement of the
+    /// model: its grounding is the oracle [`PslCollective::compile`] is
+    /// tested against, and benches and the benchmark's trace ground it to
+    /// time the PSL layers.
     pub fn build_program(
         &self,
         model: &CoverageModel,
@@ -165,13 +282,7 @@ impl PslCollective {
             );
         }
         // (R1) reward explanations.
-        program.add_rule(
-            RuleBuilder::new("explain-reward")
-                .body(tuple_p, vec![rvar("T")])
-                .head(explained_p, vec![rvar("T")])
-                .weight(weights.w_explain)
-                .build(),
-        );
+        program.add_rule(self.explain_reward(tuple_p, explained_p, weights));
         // (R2) explanation cap per target.
         for (t, covering) in model.covers_by_target().into_iter().enumerate() {
             let mut lin = AtomLin::new();
@@ -199,6 +310,22 @@ impl PslCollective {
 
         (program, in_map_p)
     }
+
+    /// (R1) `w1 : tuple(T) → explained(T)`, squared when the selector is;
+    /// shared by both rule encodings.
+    fn explain_reward(
+        &self,
+        tuple_p: cms_psl::PredId,
+        explained_p: cms_psl::PredId,
+        weights: &ObjectiveWeights,
+    ) -> cms_psl::LogicalRule {
+        let rule = RuleBuilder::new("explain-reward")
+            .body(tuple_p, vec![rvar("T")])
+            .head(explained_p, vec![rvar("T")])
+            .weight(weights.w_explain);
+        let rule = if self.squared { rule.squared() } else { rule };
+        rule.build()
+    }
 }
 
 impl PslCollective {
@@ -222,7 +349,20 @@ impl PslCollective {
     ) -> Result<PslRun, SelectError> {
         let (program, in_map_p) = self.build_declarative_program(model, weights);
         let ground = program.ground()?;
-        Ok(self.run(model, &ground, in_map_p))
+        let solution = ground.solve(&self.admm);
+        let relaxed = (0..model.num_candidates)
+            .map(|c| {
+                let atom = GroundAtom::from_strs(in_map_p, &[&format!("c{c}")]);
+                solution.value(&ground, &atom).unwrap_or(0.0)
+            })
+            .collect();
+        let terms = ground.potentials.len() + ground.constraints.len();
+        Ok(PslRun::new(
+            solution.admm,
+            relaxed,
+            solution.constant_loss,
+            terms,
+        ))
     }
 
     /// Build the declarative-rule variant of the program (logical +
@@ -297,13 +437,7 @@ impl PslCollective {
         }
 
         // (R1)
-        program.add_rule(
-            RuleBuilder::new("explain-reward")
-                .body(tuple_p, vec![rvar("T")])
-                .head(explained_p, vec![rvar("T")])
-                .weight(weights.w_explain)
-                .build(),
-        );
+        program.add_rule(self.explain_reward(tuple_p, explained_p, weights));
         // (R2)
         let ratom = |pred, names: &[&str]| RAtom {
             pred,
@@ -329,24 +463,25 @@ impl PslCollective {
                 .build(),
         );
         // (R4)
-        program.add_rule(
-            RuleBuilder::new("error-penalty")
-                .body(err_scope_p, vec![rvar("G")])
-                .head_neg(err_p, vec![rvar("G")])
-                .weight(weights.w_error)
-                .build(),
-        );
+        let penalty = RuleBuilder::new("error-penalty")
+            .body(err_scope_p, vec![rvar("G")])
+            .head_neg(err_p, vec![rvar("G")])
+            .weight(weights.w_error);
+        let penalty = if self.squared {
+            penalty.squared()
+        } else {
+            penalty
+        };
+        program.add_rule(penalty.build());
         // (R5)
-        program.add_arith_rule(
-            ArithRuleBuilder::new("size-prior")
-                .term(
-                    1.0,
-                    vec![ratom(size_frac_p, &["C"]), ratom(in_map_p, &["C"])],
-                )
-                .weight(weights.w_size * max_size)
-                .build()
-                .expect("size-prior rule is valid"),
-        );
+        let prior = ArithRuleBuilder::new("size-prior")
+            .term(
+                1.0,
+                vec![ratom(size_frac_p, &["C"]), ratom(in_map_p, &["C"])],
+            )
+            .weight(weights.w_size * max_size);
+        let prior = if self.squared { prior.squared() } else { prior };
+        program.add_arith_rule(prior.build().expect("size-prior rule is valid"));
 
         (program, in_map_p)
     }
@@ -511,35 +646,170 @@ mod tests {
         use super::super::test_support::{explain_caps_by_scan, generated_model};
         let w = ObjectiveWeights::unweighted();
         for model in [appendix_model(), known_optimum_model().0, generated_model()] {
-            let (program, in_map_p) = PslCollective::default().build_program(&model, &w);
+            let psl = PslCollective::default();
+            let (program, in_map_p) = psl.build_program(&model, &w);
             let ground = program.ground().unwrap();
-            let caps: Vec<_> = ground
-                .constraints
-                .iter()
-                .filter(|c| c.origin == "explain-cap")
-                .collect();
+            let grounded_in_map = |c: usize| {
+                let atom = GroundAtom::from_strs(in_map_p, &[&format!("c{c}")]);
+                ground.var_of(&atom).unwrap()
+            };
+            let compiled = psl.compile(&model, &w);
+            let compiled_in_map = |c: usize| model.num_targets() + c;
             let expected = explain_caps_by_scan(&model);
-            assert_eq!(caps.len(), expected.len());
-            for (cap, want) in caps.iter().zip(expected) {
-                let in_map = |c: usize| {
-                    let atom = GroundAtom::from_strs(in_map_p, &[&format!("c{c}")]);
-                    ground.var_of(&atom).unwrap()
-                };
-                let mut want: Vec<(usize, u64)> = want
+            for (constraints, in_map) in [
+                (
+                    &ground.constraints,
+                    &grounded_in_map as &dyn Fn(usize) -> usize,
+                ),
+                (&compiled.constraints, &compiled_in_map),
+            ] {
+                let caps: Vec<_> = constraints
                     .iter()
-                    .map(|&(c, d)| (in_map(c), (-d).to_bits()))
+                    .filter(|c| c.origin == "explain-cap")
                     .collect();
-                let mut got: Vec<(usize, u64)> = cap
-                    .expr
-                    .terms
-                    .iter()
-                    .filter(|&&(_, coef)| coef < 0.0)
-                    .map(|&(v, coef)| (v, coef.to_bits()))
-                    .collect();
-                want.sort_unstable();
-                got.sort_unstable();
-                assert_eq!(got, want);
-                assert_eq!(cap.expr.terms.len(), want.len() + 1, "plus explained(t)");
+                assert_eq!(caps.len(), expected.len());
+                for (cap, want) in caps.iter().zip(&expected) {
+                    let mut want: Vec<(usize, u64)> = want
+                        .iter()
+                        .map(|&(c, d)| (in_map(c), (-d).to_bits()))
+                        .collect();
+                    let mut got: Vec<(usize, u64)> = cap
+                        .expr
+                        .terms
+                        .iter()
+                        .filter(|&&(_, coef)| coef < 0.0)
+                        .map(|&(v, coef)| (v, coef.to_bits()))
+                        .collect();
+                    want.sort_unstable();
+                    got.sort_unstable();
+                    assert_eq!(got, want);
+                    assert_eq!(cap.expr.terms.len(), want.len() + 1, "plus explained(t)");
+                }
+            }
+        }
+    }
+
+    /// A ground expression with its floats as bits, so `-0.0 ≠ 0.0`.
+    fn expr_bits(expr: &LinExpr) -> (u64, Vec<(usize, u64)>) {
+        let terms = expr.terms.iter().map(|&(v, c)| (v, c.to_bits())).collect();
+        (expr.constant.to_bits(), terms)
+    }
+
+    #[test]
+    fn compile_is_the_grounded_raw_program_term_for_term() {
+        use super::super::test_support::generated_model;
+        use cms_psl::GroundProgram;
+        let weights = [
+            ObjectiveWeights::unweighted(),
+            ObjectiveWeights {
+                w_explain: 0.0,
+                w_error: 2.5,
+                w_size: 0.0,
+            },
+            ObjectiveWeights {
+                w_explain: 1.5,
+                w_error: 0.0,
+                w_size: 0.3,
+            },
+        ];
+        let potentials = |p: &[GroundPotential]| -> Vec<_> {
+            p.iter()
+                .map(|p| {
+                    (
+                        expr_bits(&p.expr),
+                        p.weight.to_bits(),
+                        p.squared,
+                        p.origin.clone(),
+                    )
+                })
+                .collect()
+        };
+        let constraints = |c: &[GroundConstraint]| -> Vec<_> {
+            c.iter()
+                .map(|c| (expr_bits(&c.expr), c.kind, c.origin.clone()))
+                .collect()
+        };
+        // `var_of` through the reference program's own atoms.
+        let layout = |program: &Program, ground: &GroundProgram, model: &CoverageModel| {
+            let var = |pred: &str, name: String| {
+                let pred = program.vocab.id_of(pred).unwrap();
+                ground.var_of(&GroundAtom::from_strs(pred, &[&name]))
+            };
+            let (nt, nc) = (model.num_targets(), model.num_candidates);
+            for t in 0..nt {
+                assert_eq!(var("explained", format!("t{t}")), Some(t));
+            }
+            for c in 0..nc {
+                assert_eq!(var("inMap", format!("c{c}")), Some(nt + c));
+            }
+            for g in 0..model.errors.len() {
+                assert_eq!(var("err", format!("g{g}")), Some(nt + nc + g));
+            }
+        };
+        let mut checked = 0;
+        for raw in [appendix_model(), known_optimum_model().0, generated_model()] {
+            let (reduced, _) = crate::preprocess::preprocess(&raw);
+            for model in [&raw, &reduced] {
+                for w in &weights {
+                    for squared in [false, true] {
+                        let psl = PslCollective {
+                            squared,
+                            ..PslCollective::default()
+                        };
+                        let compiled = psl.compile(model, w);
+                        let (program, _) = psl.build_program(model, w);
+                        let ground = program.ground().unwrap();
+                        assert_eq!(ground.constant_loss.to_bits(), 0.0f64.to_bits());
+                        assert_eq!(compiled.num_vars, ground.num_vars());
+                        layout(&program, &ground, model);
+                        assert_eq!(
+                            potentials(&compiled.potentials),
+                            potentials(&ground.potentials)
+                        );
+                        assert_eq!(
+                            constraints(&compiled.constraints),
+                            constraints(&ground.constraints)
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 36);
+    }
+
+    #[test]
+    fn squared_reaches_every_soft_rule_in_every_encoding() {
+        let model = super::super::test_support::generated_model();
+        let w = ObjectiveWeights::unweighted();
+        for squared in [false, true] {
+            let psl = PslCollective {
+                squared,
+                ..PslCollective::default()
+            };
+            let raw = psl.build_program(&model, &w).0.ground().unwrap();
+            let declarative = psl
+                .build_declarative_program(&model, &w)
+                .0
+                .ground()
+                .unwrap();
+            let compiled = psl.compile(&model, &w).potentials;
+            for (encoding, potentials) in [
+                ("compiled", &compiled),
+                ("raw", &raw.potentials),
+                ("declarative", &declarative.potentials),
+            ] {
+                let mut rules: Vec<&str> = potentials.iter().map(|p| p.origin.as_str()).collect();
+                rules.sort_unstable();
+                rules.dedup();
+                assert_eq!(
+                    rules,
+                    ["error-penalty", "explain-reward", "size-prior"],
+                    "{encoding}"
+                );
+                for p in potentials {
+                    assert_eq!(p.squared, squared, "{encoding} {}", p.origin);
+                }
             }
         }
     }

@@ -7,9 +7,11 @@
 //! `Program::ground()` (parallel, plan-compiled), `ground_with(1)`
 //! (sequential, plan-compiled) and `ground_naive()` (reference) describe
 //! the identical HL-MRF via [`cms_psl::GroundProgram::canonical_terms`].
+//! The selector's own path skips grounding (`PslCollective::compile`);
+//! its solve must equal the solve of the grounded raw program bit for bit.
 
 use cms::prelude::*;
-use cms_psl::Program;
+use cms_psl::{GroundAtom, Program};
 
 fn assert_all_engines_agree(program: &Program, label: &str) {
     let parallel = program.ground().expect("parallel grounding succeeds");
@@ -102,4 +104,53 @@ fn index_short_circuits_the_declarative_join() {
         stats.candidates_probed + stats.candidates_scanned < naive_stats.candidates_scanned,
         "index did not reduce candidate work: plan={stats:?} naive={naive_stats:?}"
     );
+}
+
+#[test]
+fn compiled_inference_equals_solving_the_grounded_program() {
+    let weights = ObjectiveWeights::unweighted();
+    let selector = PslCollective::default();
+    for seed in [1u64, 7] {
+        let scenario = generate(&ScenarioConfig {
+            rows_per_relation: 10,
+            noise: NoiseConfig::uniform(25.0),
+            seed,
+            ..ScenarioConfig::all_primitives(4)
+        });
+        let raw = CoverageModel::build(&scenario.source, &scenario.target, &scenario.candidates);
+        let (reduced, _) = preprocess(&raw);
+        for (label, model) in [("raw", &raw), ("preprocessed", &reduced)] {
+            let run = selector.infer(model, &weights).expect("infers");
+
+            let (program, in_map_p) = selector.build_program(model, &weights);
+            let ground = program.ground().expect("grounds");
+            let reference = ground.solve(&selector.admm);
+            let relaxed: Vec<u64> = (0..model.num_candidates)
+                .map(|c| {
+                    let atom = GroundAtom::from_strs(in_map_p, &[&format!("c{c}")]);
+                    reference
+                        .value(&ground, &atom)
+                        .expect("inMap grounded")
+                        .to_bits()
+                })
+                .collect();
+
+            let got: Vec<u64> = run.relaxed.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, relaxed, "seed {seed} {label}: relaxed");
+            assert_eq!(
+                run.iterations, reference.admm.iterations,
+                "seed {seed} {label}"
+            );
+            assert_eq!(
+                run.soft_objective.to_bits(),
+                reference.total_objective().to_bits(),
+                "seed {seed} {label}: soft objective"
+            );
+            assert_eq!(
+                run.ground_terms,
+                ground.potentials.len() + ground.constraints.len(),
+                "seed {seed} {label}: ground terms"
+            );
+        }
+    }
 }
