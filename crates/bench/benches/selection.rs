@@ -1,5 +1,6 @@
 //! Criterion bench: end-to-end selection (EX6's time axis) — every
-//! selector on a fixed noisy scenario.
+//! selector on a fixed noisy scenario, plus budgeted branch-and-bound on
+//! EX6's 28-invocation model.
 
 use cms_ibench::{generate, NoiseConfig, ScenarioConfig};
 use cms_select::{
@@ -43,6 +44,27 @@ fn bench_selection(c: &mut Criterion) {
             b.iter(|| selector.select(std::hint::black_box(&model), &weights));
         });
     }
+
+    // EX6's 28-invocation model under EX6's 2M-node budget: many small
+    // independent components, which the whole-model search could not
+    // finish within the budget.
+    let ex6 = generate(&ScenarioConfig {
+        noise: NoiseConfig {
+            pi_corresp: 50.0,
+            pi_errors: 10.0,
+            pi_unexplained: 10.0,
+        },
+        rows_per_relation: 15,
+        seed: 5,
+        ..ScenarioConfig::all_primitives(4)
+    });
+    let ex6_model = CoverageModel::build(&ex6.source, &ex6.target, &ex6.candidates);
+    let budgeted = BranchBound {
+        node_budget: Some(2_000_000),
+    };
+    group.bench_function("branch-bound-ex6/28", |b| {
+        b.iter(|| budgeted.select(std::hint::black_box(&ex6_model), &weights));
+    });
     group.finish();
 }
 

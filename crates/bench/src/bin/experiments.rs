@@ -276,13 +276,18 @@ fn ex5() {
     );
 }
 
-/// EX6 — scalability: runtime vs scenario size.
+/// EX6 — scalability: runtime vs scenario size, with the independent
+/// components of each model (of its useful candidates) that
+/// branch-and-bound searches one at a time. Every row must read "exact"
+/// (CI checks it).
 fn ex6() {
     println!("## EX6 — scalability (runtime vs #invocations)\n");
     let mut table = Table::new(&[
         "invocations",
         "|C|",
         "|J|",
+        "components",
+        "largest component",
         "ground terms",
         "admm iters",
         "psl ms",
@@ -291,7 +296,7 @@ fn ex6() {
         "b&b nodes",
         "b&b note",
     ]);
-    for n in [1usize, 2, 4, 8] {
+    for n in [1usize, 2, 4, 8, 16] {
         let config = ScenarioConfig {
             noise: NoiseConfig {
                 pi_corresp: 50.0,
@@ -305,6 +310,12 @@ fn ex6() {
         let scenario = generate(&config);
         let model = CoverageModel::build(&scenario.source, &scenario.target, &scenario.candidates);
         let weights = ObjectiveWeights::unweighted();
+        let useless = model.useless_candidates();
+        let useful: Vec<usize> = (0..model.num_candidates)
+            .filter(|c| !useless.contains(c))
+            .collect();
+        let components = model.components(&useful);
+        let largest = components.iter().map(Vec::len).max().unwrap_or(0);
 
         let t0 = Instant::now();
         let psl = PslCollective::default()
@@ -327,6 +338,8 @@ fn ex6() {
             (7 * n).to_string(),
             scenario.candidates.len().to_string(),
             scenario.target.total_len().to_string(),
+            components.len().to_string(),
+            largest.to_string(),
             psl.telemetry.ground_terms.unwrap_or(0).to_string(),
             psl.telemetry.admm_iterations.to_string(),
             format!("{psl_ms:.0}"),

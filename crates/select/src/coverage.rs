@@ -538,6 +538,71 @@ impl CoverageModel {
         by_candidate
     }
 
+    /// The connected components of `candidates` in the graph that links
+    /// two candidates when they cover a common target or create a common
+    /// error group. Eq. (9) separates over these components: no target or
+    /// error group reaches into two of them, so each can be optimised on
+    /// its own.
+    ///
+    /// Each component lists its candidates ascending; components are
+    /// ordered by their smallest candidate. Candidates outside
+    /// `candidates` link nothing. One union-find pass (with path halving)
+    /// over `covers` and `errors`.
+    pub fn components(&self, candidates: &[usize]) -> Vec<Vec<usize>> {
+        const NONE: usize = usize::MAX;
+        let mut parent = vec![NONE; self.num_candidates];
+        for &c in candidates {
+            parent[c] = c;
+        }
+        fn find(parent: &mut [usize], mut c: usize) -> usize {
+            while parent[c] != c {
+                parent[c] = parent[parent[c]];
+                c = parent[c];
+            }
+            c
+        }
+        // Union by smaller root, so every root is its component's minimum.
+        fn union(parent: &mut [usize], a: usize, b: usize) {
+            let (ra, rb) = (find(parent, a), find(parent, b));
+            parent[ra.max(rb)] = ra.min(rb);
+        }
+        let mut owner = vec![NONE; self.targets.len()];
+        for &c in candidates {
+            for &(t, _) in &self.covers[c] {
+                match owner[t] {
+                    NONE => owner[t] = c,
+                    o => union(&mut parent, o, c),
+                }
+            }
+        }
+        for group in &self.errors {
+            let mut first = NONE;
+            for &c in &group.creators {
+                if parent[c] == NONE {
+                    continue;
+                }
+                match first {
+                    NONE => first = c,
+                    f => union(&mut parent, f, c),
+                }
+            }
+        }
+        let mut slot = vec![NONE; self.num_candidates];
+        let mut components: Vec<Vec<usize>> = Vec::new();
+        for c in 0..self.num_candidates {
+            if parent[c] == NONE {
+                continue;
+            }
+            let root = find(&mut parent, c);
+            if slot[root] == NONE {
+                slot[root] = components.len();
+                components.push(Vec::new());
+            }
+            components[slot[root]].push(c);
+        }
+        components
+    }
+
     /// Candidates with no positive cover: they can only add errors and
     /// size, so no optimal selection includes them.
     pub fn useless_candidates(&self) -> Vec<usize> {

@@ -8,7 +8,8 @@ use crate::objective::{Objective, ObjectiveWeights};
 /// Enumerate all subsets of the useful candidates.
 #[derive(Clone, Debug, Default)]
 pub struct Exhaustive {
-    /// Hard cap on useful candidates (default 25 ⇒ ≤ 2^25 evaluations).
+    /// Hard cap on useful candidates (default 25 ⇒ ≤ 2^25 evaluations);
+    /// above it, `select` returns [`SelectError::TooManyCandidates`].
     pub max_candidates: Option<usize>,
 }
 
@@ -24,11 +25,12 @@ impl Selector for Exhaustive {
     ) -> Result<Selection, SelectError> {
         let useful = useful_candidates(model);
         let cap = self.max_candidates.unwrap_or(25);
-        assert!(
-            useful.len() <= cap,
-            "exhaustive selector got {} useful candidates (cap {cap}); use BranchBound",
-            useful.len()
-        );
+        if useful.len() > cap {
+            return Err(SelectError::TooManyCandidates {
+                useful: useful.len(),
+                cap,
+            });
+        }
         let objective = Objective::new(model, *weights);
         let n = useful.len();
         let mut best_subset: u64 = 0;
@@ -85,13 +87,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "use BranchBound")]
     fn refuses_oversized_inputs() {
         let (model, _) = known_optimum_model();
-        Exhaustive {
+        let err = Exhaustive {
             max_candidates: Some(2),
         }
         .select(&model, &ObjectiveWeights::unweighted())
-        .unwrap();
+        .unwrap_err();
+        assert_eq!(err, SelectError::TooManyCandidates { useful: 4, cap: 2 });
+        assert!(err.to_string().contains("4 useful candidates"), "{err}");
+        assert!(std::error::Error::source(&err).is_none());
     }
 }

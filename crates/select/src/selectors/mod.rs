@@ -2,8 +2,8 @@
 //!
 //! | Selector | Kind | Notes |
 //! |----------|------|-------|
-//! | [`Exhaustive`] | exact | enumerates all subsets; ≤ 25 useful candidates |
-//! | [`BranchBound`] | exact | DFS with an optimistic-explains lower bound |
+//! | [`Exhaustive`] | exact | enumerates all subsets of the whole model (the oracle); ≤ 25 useful candidates, else an error |
+//! | [`BranchBound`] | exact | DFS with an optimistic-explains lower bound, per independent component; a node budget falls back to greedy per cut-off component |
 //! | [`Greedy`] | heuristic | best-improvement add passes + removal pass |
 //! | [`LocalSearch`] | heuristic | greedy + flip hill-climbing with restarts |
 //! | [`PslCollective`] | the paper's approach | HL-MRF MAP + rounding |
@@ -33,8 +33,9 @@ use crate::objective::ObjectiveWeights;
 /// The paper's collective selector compiles the coverage model into a PSL
 /// program; compilation or grounding failures surface here instead of
 /// aborting the process (selectors used to `.expect()` on them), and so
-/// do [`crate::learn_weights`] on an empty training set and
-/// [`crate::evaluate_scenario`] on a candidate the chase rejects.
+/// do [`crate::learn_weights`] on an empty training set,
+/// [`crate::evaluate_scenario`] on a candidate the chase rejects and
+/// [`Exhaustive`] on a model beyond its cap.
 #[derive(Clone, PartialEq, Debug)]
 pub enum SelectError {
     /// The PSL program failed to ground.
@@ -44,6 +45,13 @@ pub enum SelectError {
     InvalidCandidate(cms_tgd::ChaseError),
     /// Weight learning was given no training scenarios.
     NoTrainingScenarios,
+    /// [`Exhaustive`] was given more useful candidates than its cap.
+    TooManyCandidates {
+        /// Useful candidates in the model.
+        useful: usize,
+        /// The selector's cap ([`Exhaustive::max_candidates`]).
+        cap: usize,
+    },
 }
 
 impl std::fmt::Display for SelectError {
@@ -54,6 +62,11 @@ impl std::fmt::Display for SelectError {
             SelectError::NoTrainingScenarios => {
                 write!(f, "weight learning needs at least one scenario")
             }
+            SelectError::TooManyCandidates { useful, cap } => write!(
+                f,
+                "exhaustive selection got {useful} useful candidates (cap {cap}); \
+                 use branch-and-bound"
+            ),
         }
     }
 }
@@ -63,7 +76,7 @@ impl std::error::Error for SelectError {
         match self {
             SelectError::Grounding(e) => Some(e),
             SelectError::InvalidCandidate(e) => Some(e),
-            SelectError::NoTrainingScenarios => None,
+            SelectError::NoTrainingScenarios | SelectError::TooManyCandidates { .. } => None,
         }
     }
 }
@@ -134,8 +147,10 @@ pub struct Selection {
     pub objective: f64,
     /// Number of discrete objective evaluations (search effort proxy).
     pub evaluations: usize,
-    /// Empty unless [`BranchBound`] ran out of its node budget, in which
-    /// case it says so here and the selection is only a heuristic result.
+    /// Empty unless [`BranchBound`] ran out of its node budget. Then it
+    /// names the components the budget cut off (each kept the best of its
+    /// partial search, ∅ and greedy), and the selection is only a
+    /// heuristic result.
     pub note: String,
     /// Structured diagnostics; default for purely combinatorial selectors.
     pub telemetry: SelectionTelemetry,

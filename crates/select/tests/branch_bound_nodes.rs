@@ -1,6 +1,6 @@
 //! Branch-and-bound's node count and selection on a generated EX6
-//! scenario, pinned at the full-rescan implementation so that a change to
-//! the bound or the search order is a visible decision.
+//! scenario, pinned so that a change to the bound, the search order or the
+//! component split is a visible decision.
 //!
 //! This is the only test in its binary on purpose: symbols order by
 //! interning order in a process-global table, and the generated scenario
@@ -30,7 +30,7 @@ fn ex6_scenario_node_count_is_pinned() {
     .select(&model, &ObjectiveWeights::unweighted())
     .unwrap();
     assert!(sel.note.is_empty(), "exact within the budget");
-    assert_eq!(sel.evaluations, 137_637);
+    assert_eq!(sel.evaluations, 95);
     assert_eq!(
         sel.selected,
         vec![0, 3, 4, 6, 9, 11, 16, 21, 26, 28, 31, 34]

@@ -95,6 +95,42 @@ proptest! {
         prop_assert!(f.value(&all) >= s - 1e-9);
     }
 
+    /// `components` partitions the useful candidates: each lies in
+    /// exactly one component, and no target or error group reaches into
+    /// two of them.
+    #[test]
+    fn components_partition_the_useful_candidates(model in arb_model()) {
+        let useful: Vec<usize> =
+            (0..model.num_candidates).filter(|&c| !model.covers[c].is_empty()).collect();
+        let components = model.components(&useful);
+        let mut component_of = vec![None; model.num_candidates];
+        for (k, comp) in components.iter().enumerate() {
+            prop_assert!(!comp.is_empty() && comp.windows(2).all(|p| p[0] < p[1]));
+            for &c in comp {
+                prop_assert!(component_of[c].is_none(), "candidate {c} in two components");
+                component_of[c] = Some(k);
+            }
+        }
+        for &c in &useful {
+            prop_assert!(component_of[c].is_some(), "candidate {c} in no component");
+        }
+        prop_assert!(components.windows(2).all(|p| p[0][0] < p[1][0]));
+        let mut target_owner = vec![None; model.num_targets()];
+        for &c in &useful {
+            for &(t, _) in &model.covers[c] {
+                let k = component_of[c];
+                prop_assert!(target_owner[t].is_none_or(|o| o == k), "target {t} spans two");
+                target_owner[t] = Some(k);
+            }
+        }
+        for (g, group) in model.errors.iter().enumerate() {
+            let mut ks = group.creators.iter().filter_map(|&c| component_of[c]);
+            if let Some(first) = ks.next() {
+                prop_assert!(ks.all(|k| k == first), "error group {g} spans two");
+            }
+        }
+    }
+
     /// Exhaustive and branch-and-bound agree exactly, unweighted and
     /// weighted.
     #[test]
