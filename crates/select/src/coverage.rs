@@ -263,13 +263,28 @@ impl CoverageModel {
         candidates: &[StTgd],
         options: &CoverageOptions,
     ) -> Result<(CoverageModel, ChaseStats), ChaseError> {
+        CoverageModel::build_keeping_solutions(source, target, candidates, options)
+            .map(|(model, _, stats)| (model, stats))
+    }
+
+    /// The one chase-and-score sequence behind every engine-backed build:
+    /// chase all candidates in one [`ChaseEngine`] pass, score the
+    /// solutions, and hand them back (one per candidate, in candidate
+    /// order) for callers that read them again — the pipeline's data
+    /// metric ([`crate::metrics::data_prf_from_solutions`]).
+    pub(crate) fn build_keeping_solutions(
+        source: &Instance,
+        target: &Instance,
+        candidates: &[StTgd],
+        options: &CoverageOptions,
+    ) -> Result<(CoverageModel, Vec<Instance>, ChaseStats), ChaseError> {
         let engine = ChaseEngine::new(candidates)?;
         let (solutions, stats) = engine.chase_all_stats(source);
         let model = {
             let _span = cms_obs::span("coverage/score");
             CoverageModel::from_solutions(target, candidates, &solutions, options)
         };
-        Ok((model, stats))
+        Ok((model, solutions, stats))
     }
 
     /// Score precomputed per-candidate universal solutions (one per

@@ -9,9 +9,10 @@
 //! margin-based learners.
 
 use crate::objective::ObjectiveWeights;
-use crate::pipeline::evaluate_scenario;
+use crate::pipeline::{evaluate_prepared, prepare_scenario, PreparedScenario, SelectionOutcome};
 use crate::selectors::{SelectError, Selector};
 use cms_ibench::Scenario;
+use std::time::Instant;
 
 /// Which evaluation metric to maximize during learning.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -87,16 +88,14 @@ pub fn learn_weights(
     if scenarios.is_empty() {
         return Err(SelectError::NoTrainingScenarios);
     }
+    // Chasing, scoring and preprocessing do not depend on the weights:
+    // each scenario is prepared once and re-selected per grid point.
+    let prepared = scenarios
+        .iter()
+        .map(prepare_scenario)
+        .collect::<Result<Vec<_>, _>>()?;
     let score_of = |weights: &ObjectiveWeights| -> Result<f64, SelectError> {
-        let mut total = 0.0;
-        for s in scenarios {
-            let outcome = evaluate_scenario(s, selector, weights)?;
-            total += match metric {
-                LearnMetric::MappingF1 => outcome.mapping.f1,
-                LearnMetric::DataF1 => outcome.data.f1,
-            };
-        }
-        Ok(total / scenarios.len() as f64)
+        mean_score(&prepared, scenarios, selector, weights, metric)
     };
 
     let default = ObjectiveWeights::unweighted();
@@ -121,9 +120,34 @@ pub fn learn_weights(
     })
 }
 
+/// Mean `metric` of `selector`'s selections under `weights` over the
+/// prepared training scenarios (`prepared[i]` is `scenarios[i]`'s).
+fn mean_score(
+    prepared: &[PreparedScenario],
+    scenarios: &[Scenario],
+    selector: &dyn Selector,
+    weights: &ObjectiveWeights,
+    metric: LearnMetric,
+) -> Result<f64, SelectError> {
+    let mut total = 0.0;
+    for (p, s) in prepared.iter().zip(scenarios) {
+        let outcome = evaluate_prepared(p, s, selector, weights, Instant::now())?;
+        total += metric_of(&outcome, metric);
+    }
+    Ok(total / scenarios.len() as f64)
+}
+
+fn metric_of(outcome: &SelectionOutcome, metric: LearnMetric) -> f64 {
+    match metric {
+        LearnMetric::MappingF1 => outcome.mapping.f1,
+        LearnMetric::DataF1 => outcome.data.f1,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::evaluate_scenario;
     use crate::selectors::Greedy;
     use cms_ibench::{generate, NoiseConfig, ScenarioConfig};
 
@@ -194,6 +218,26 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SelectError::NoTrainingScenarios);
         assert!(err.to_string().contains("at least one scenario"));
+    }
+
+    #[test]
+    fn prepared_scores_match_evaluate_scenario_at_every_grid_point() {
+        let scenarios = training_batch();
+        let prepared: Vec<PreparedScenario> = scenarios
+            .iter()
+            .map(|s| prepare_scenario(s).unwrap())
+            .collect();
+        for metric in [LearnMetric::MappingF1, LearnMetric::DataF1] {
+            for weights in WeightGrid::default().combinations() {
+                let fast = mean_score(&prepared, &scenarios, &Greedy, &weights, metric).unwrap();
+                let total: f64 = scenarios
+                    .iter()
+                    .map(|s| metric_of(&evaluate_scenario(s, &Greedy, &weights).unwrap(), metric))
+                    .sum();
+                let reference = total / scenarios.len() as f64;
+                assert_eq!(fast, reference, "{metric:?} at {weights:?}");
+            }
+        }
     }
 
     #[test]

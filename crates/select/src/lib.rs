@@ -34,7 +34,7 @@ pub use coverage::{CoverageModel, CoverageOptions, ErrorGroup};
 pub use explain::{explain_selection, CandidateReport, SelectionReport};
 pub use incremental::IncrementalObjective;
 pub use learn::{learn_weights, LearnMetric, LearnedWeights, WeightGrid};
-pub use metrics::{data_prf, mapping_prf, Prf};
+pub use metrics::{data_prf, data_prf_from_solutions, mapping_prf, Prf};
 pub use objective::{Objective, ObjectiveWeights};
 pub use pipeline::{evaluate_scenario, SelectionOutcome};
 pub use preprocess::{preprocess, PreprocessReport};

@@ -1,11 +1,18 @@
 //! Scenario-level pipeline: build the model, preprocess, select, score.
+//!
+//! The coverage build chases every candidate once; the pipeline keeps
+//! those solutions and answers the data metric from them
+//! ([`data_prf_from_solutions`]) rather than chasing the selection and
+//! the gold mapping again.
 
 use crate::coverage::{CoverageModel, CoverageOptions};
-use crate::metrics::{data_prf, mapping_prf, Prf};
+use crate::metrics::{data_prf_from_solutions, is_sorted_distinct, mapping_prf, Prf};
 use crate::objective::{Objective, ObjectiveWeights};
 use crate::preprocess::{preprocess, PreprocessReport};
 use crate::selectors::{SelectError, Selection, Selector};
+use cms_data::Instance;
 use cms_ibench::Scenario;
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// Everything measured for one (scenario, selector) pair.
@@ -25,10 +32,98 @@ pub struct SelectionOutcome {
     pub gold_objective: f64,
     /// Preprocessing summary.
     pub preprocess: PreprocessReport,
-    /// Wall-clock time of model building + selection.
+    /// Wall-clock time of the whole evaluation: model building,
+    /// preprocessing, selection, the gold objective and both metrics.
     pub wall: Duration,
     /// Wall-clock time of the selection call only.
     pub select_wall: Duration,
+}
+
+/// The weight-independent part of evaluating a scenario: what the
+/// coverage build chased, and the model every selector runs on.
+pub(crate) struct PreparedScenario {
+    /// One chased universal solution per candidate, in candidate order.
+    solutions: Vec<Instance>,
+    /// The preprocessed coverage model.
+    reduced: CoverageModel,
+    /// What preprocessing removed.
+    report: PreprocessReport,
+}
+
+/// Chase and score every candidate, then preprocess the model. Candidates
+/// the chase rejects are [`SelectError::InvalidCandidate`].
+pub(crate) fn prepare_scenario(scenario: &Scenario) -> Result<PreparedScenario, SelectError> {
+    let (model, solutions, _) = {
+        let _span = cms_obs::span("pipeline/build-model");
+        CoverageModel::build_keeping_solutions(
+            &scenario.source,
+            &scenario.target,
+            &scenario.candidates,
+            &CoverageOptions::default(),
+        )
+        .map_err(SelectError::InvalidCandidate)?
+    };
+    let (reduced, report) = preprocess(&model);
+    Ok(PreparedScenario {
+        solutions,
+        reduced,
+        report,
+    })
+}
+
+/// Run `selector` on a prepared scenario and score its selection;
+/// `start` is when the evaluation began, for [`SelectionOutcome::wall`].
+pub(crate) fn evaluate_prepared(
+    prepared: &PreparedScenario,
+    scenario: &Scenario,
+    selector: &dyn Selector,
+    weights: &ObjectiveWeights,
+    start: Instant,
+) -> Result<SelectionOutcome, SelectError> {
+    let reduced = &prepared.reduced;
+    let constant = weights.w_explain * prepared.report.certain_unexplained as f64;
+
+    let select_start = Instant::now();
+    let mut selection = {
+        let _span = cms_obs::span(format!("pipeline/select/{}", selector.name()));
+        selector.select(reduced, weights)?
+    };
+    let select_wall = select_start.elapsed();
+    selection.objective += constant;
+
+    let gold_objective = Objective::new(reduced, *weights).value(&scenario.gold) + constant;
+    let mapping = mapping_prf(&selection.selected, &scenario.gold);
+    let data = {
+        let _span = cms_obs::span("pipeline/data-prf");
+        data_prf_from_solutions(
+            &prepared.solutions,
+            &sorted_distinct(&selection.selected),
+            &sorted_distinct(&scenario.gold),
+        )
+    };
+    Ok(SelectionOutcome {
+        selector: selector.name().to_owned(),
+        selection,
+        mapping,
+        data,
+        gold_objective,
+        preprocess: prepared.report.clone(),
+        wall: start.elapsed(),
+        select_wall,
+    })
+}
+
+/// `idxs` itself when already sorted and distinct (as a [`Selection`]'s
+/// always is), else a sorted, deduplicated copy.
+fn sorted_distinct(idxs: &[usize]) -> Cow<'_, [usize]> {
+    if is_sorted_distinct(idxs) {
+        Cow::Borrowed(idxs)
+    } else {
+        let mut owned = idxs.to_vec();
+        owned.sort_unstable();
+        owned.dedup();
+        Cow::Owned(owned)
+    }
 }
 
 /// Run one selector on one scenario. Selector failures (e.g. grounding
@@ -41,45 +136,8 @@ pub fn evaluate_scenario(
 ) -> Result<SelectionOutcome, SelectError> {
     let _span = cms_obs::span("pipeline/evaluate");
     let start = Instant::now();
-    let model = {
-        let _span = cms_obs::span("pipeline/build-model");
-        CoverageModel::try_build_with(
-            &scenario.source,
-            &scenario.target,
-            &scenario.candidates,
-            &CoverageOptions::default(),
-        )
-        .map_err(SelectError::InvalidCandidate)?
-    };
-    let (reduced, report) = preprocess(&model);
-    let constant = weights.w_explain * report.certain_unexplained as f64;
-
-    let select_start = Instant::now();
-    let mut selection = {
-        let _span = cms_obs::span(format!("pipeline/select/{}", selector.name()));
-        selector.select(&reduced, weights)?
-    };
-    let select_wall = select_start.elapsed();
-    selection.objective += constant;
-
-    let gold_objective = Objective::new(&reduced, *weights).value(&scenario.gold) + constant;
-    let mapping = mapping_prf(&selection.selected, &scenario.gold);
-    let data = data_prf(
-        &scenario.source,
-        &scenario.candidates,
-        &selection.selected,
-        &scenario.gold,
-    );
-    Ok(SelectionOutcome {
-        selector: selector.name().to_owned(),
-        selection,
-        mapping,
-        data,
-        gold_objective,
-        preprocess: report,
-        wall: start.elapsed(),
-        select_wall,
-    })
+    let prepared = prepare_scenario(scenario)?;
+    evaluate_prepared(&prepared, scenario, selector, weights, start)
 }
 
 #[cfg(test)]
