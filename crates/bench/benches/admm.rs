@@ -12,35 +12,41 @@
 //! * `solve-threads4` — the sharded solver at `threads = 4` (bit-identical
 //!   results; wall-clock speedup shows up on multi-core hosts).
 //!
+//! The `ap4` problem is the collective PSL program
+//! (`PslCollective::compile`) of the unreduced `all_primitives(4)` model,
+//! 40 rows, 25% noise, seed 3.
+//!
 //! `solve/ds100` times the production PSL program of the benchmark's
 //! `data-scale` point (`PslCollective::build_program` on the preprocessed
 //! model of `all_primitives(4)`, 100 rows, 25% noise, seed 7) solved to
 //! convergence with the default configuration — each independent
-//! component stops on its own residual.
+//! component stops on its own residual. It is timed sample-interleaved
+//! with three variants of the same solve that differ only in the
+//! self-healing watchdog being armed (`solve-watchdog`) and in the
+//! telemetry level (`solve-obs-stats`: `stats`; `solve-ring`: the full
+//! flight recorder). CI gates their clean-path overhead against
+//! `solve/ds100` with `bench_gate --ratio`.
 //!
 //! Beyond the criterion timings, the bench emits extra JSON lines in the
 //! same format for the phase breakdown (`consensus-*`, `local-*`, per
-//! iteration), for the warm-start iteration counts over a 10-flip
-//! reground sequence (`warm-consensus-iters` vs `warm-dual-iters` vs
-//! `cold-iters`) and for the work of the `ds100` solve (`work/ds100`:
-//! Σ over blocks of iterations × terms) — counts, not nanoseconds.
-//! All lines are gated against `BENCH_admm_baseline.json` by
-//! `bench_gate` in CI.
+//! iteration) and for the work of the `ds100` solve (`work/ds100`: Σ over
+//! blocks of iterations × terms) — a count, not nanoseconds. All lines
+//! are gated against `BENCH_admm_baseline.json` by `bench_gate` in CI.
 
 use cms_ibench::{generate, NoiseConfig, ScenarioConfig};
-use cms_psl::{AdmmConfig, ConstraintKind, GroundAtom, GroundProgram, LinExpr, Program};
-use cms_select::{
-    build_eval_program, preprocess, CoverageModel, EvalPreds, ObjectiveWeights, PslCollective,
-};
+use cms_psl::{AdmmConfig, AdmmSolution, AdmmSolver, ConstraintKind, GroundProgram, LinExpr};
+use cms_select::{preprocess, CompiledProgram, CoverageModel, ObjectiveWeights, PslCollective};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// `cargo test` runs bench targets with `--test`: shrink everything.
 fn test_mode() -> bool {
     std::env::args().any(|a| a == "--test" || a == "--quick")
 }
 
-fn scenario_program(invocations: usize, rows: usize) -> (Program, EvalPreds, CoverageModel) {
+/// The `ap4` problem: the compiled PSL program of the unreduced
+/// `all_primitives(invocations)` model, uniform 25% noise, seed 3.
+fn scenario_program(invocations: usize, rows: usize) -> CompiledProgram {
     let config = ScenarioConfig {
         rows_per_relation: rows,
         noise: NoiseConfig::uniform(25.0),
@@ -49,9 +55,12 @@ fn scenario_program(invocations: usize, rows: usize) -> (Program, EvalPreds, Cov
     };
     let scenario = generate(&config);
     let model = CoverageModel::build(&scenario.source, &scenario.target, &scenario.candidates);
-    let weights = ObjectiveWeights::unweighted();
-    let (program, preds) = build_eval_program(&model, &weights, &[]);
-    (program, preds, model)
+    PslCollective::default().compile(&model, &ObjectiveWeights::unweighted())
+}
+
+/// Solve a compiled program with `config`.
+fn solve(program: &CompiledProgram, config: &AdmmConfig) -> AdmmSolution {
+    AdmmSolver::new(&program.potentials, &program.constraints, program.num_vars).solve(config)
 }
 
 /// The ground PSL program `PslCollective` solves on the `data-scale`
@@ -123,8 +132,8 @@ struct RefSolver {
 }
 
 impl RefSolver {
-    fn new(ground: &GroundProgram) -> RefSolver {
-        let n = ground.num_vars();
+    fn new(program: &CompiledProgram) -> RefSolver {
+        let n = program.num_vars;
         let mut terms: Vec<RefTerm> = Vec::new();
         let push = |terms: &mut Vec<RefTerm>, expr: &LinExpr, kind: RefKind| {
             terms.push(RefTerm {
@@ -137,7 +146,7 @@ impl RefSolver {
                 u: vec![0.0; expr.terms.len()],
             });
         };
-        for p in &ground.potentials {
+        for p in &program.potentials {
             push(
                 &mut terms,
                 &p.expr,
@@ -147,7 +156,7 @@ impl RefSolver {
                 },
             );
         }
-        for c in &ground.constraints {
+        for c in &program.constraints {
             push(
                 &mut terms,
                 &c.expr,
@@ -259,15 +268,13 @@ impl RefSolver {
 fn bench_admm(c: &mut Criterion) {
     let quick = test_mode();
     let (rows, iters, runs) = if quick { (6, 5, 1) } else { (40, 60, 5) };
-    let (mut program, preds, model) = scenario_program(4, rows);
-    let ground = program.ground().expect("eval program grounds");
-    let _ = program.db.take_delta();
+    let ap4 = scenario_program(4, rows);
     eprintln!(
         "admm bench: ap4 rows={} -> {} vars, {} potentials, {} constraints",
         rows,
-        ground.num_vars(),
-        ground.potentials.len(),
-        ground.constraints.len()
+        ap4.num_vars,
+        ap4.potentials.len(),
+        ap4.constraints.len()
     );
 
     let mut group = c.benchmark_group("admm");
@@ -276,7 +283,7 @@ fn bench_admm(c: &mut Criterion) {
     // sharded 4-thread (identical arithmetic, identical results).
     group.bench_with_input(BenchmarkId::new("solve-reference", "ap4"), &(), |b, ()| {
         b.iter(|| {
-            let mut rs = RefSolver::new(&ground);
+            let mut rs = RefSolver::new(&ap4);
             for _ in 0..iters {
                 rs.iterate(1.0);
             }
@@ -284,13 +291,23 @@ fn bench_admm(c: &mut Criterion) {
         });
     });
     group.bench_with_input(BenchmarkId::new("solve-serial", "ap4"), &(), |b, ()| {
-        b.iter(|| std::hint::black_box(ground.solve(&fixed_cfg(1, iters)).admm.iterations));
+        b.iter(|| std::hint::black_box(solve(&ap4, &fixed_cfg(1, iters)).iterations));
     });
     group.bench_with_input(BenchmarkId::new("solve-threads4", "ap4"), &(), |b, ()| {
-        b.iter(|| std::hint::black_box(ground.solve(&fixed_cfg(4, iters)).admm.iterations));
+        b.iter(|| std::hint::black_box(solve(&ap4, &fixed_cfg(4, iters)).iterations));
     });
+
     // The production PSL solve to convergence, each block to its own
-    // residual.
+    // residual, next to the same solve with the watchdog armed and with
+    // telemetry on. No fault ever fires, so the set isolates pure
+    // bookkeeping cost; CI gates `watchdog/plain ≤ 1.05`,
+    // `obs-stats/plain ≤ 1.02` and `ring/plain ≤ 1.02` via
+    // `bench_gate --ratio`. The ratios compare same-run medians at a few
+    // percent of resolution, so the set is measured with
+    // `bench_interleaved`: each sample round times one burst of every
+    // variant in turn (each body sets its own telemetry override), so
+    // CPU-frequency drift and noisy scheduling windows are charged to all
+    // lines roughly equally.
     let ds = data_scale_program(if quick { 10 } else { 100 });
     let ds_cfg = AdmmConfig {
         threads: 1,
@@ -304,9 +321,47 @@ fn bench_admm(c: &mut Criterion) {
         ds_sol.iterations,
         ds_sol.converged
     );
-    group.bench_with_input(BenchmarkId::new("solve", "ds100"), &(), |b, ()| {
-        b.iter(|| std::hint::black_box(ds.solve(&ds_cfg).admm.iterations));
-    });
+    let watchdog = AdmmConfig {
+        stall_window: 1000,
+        time_budget: Some(Duration::from_secs(60)),
+        max_restarts: 2,
+        ..ds_cfg.clone()
+    };
+    let variants = [
+        ("solve", cms_obs::ObsLevel::Off, false, &ds_cfg),
+        ("solve-watchdog", cms_obs::ObsLevel::Off, false, &watchdog),
+        ("solve-obs-stats", cms_obs::ObsLevel::Stats, false, &ds_cfg),
+        ("solve-ring", cms_obs::ObsLevel::Journal, true, &ds_cfg),
+    ];
+    let mut bodies: Vec<(BenchmarkId, Box<dyn FnMut() + '_>)> = Vec::new();
+    for (name, level, ring, cfg) in variants {
+        let ds = &ds;
+        bodies.push((
+            BenchmarkId::new(name, "ds100"),
+            Box::new(move || {
+                cms_obs::set_level_override(level);
+                if ring {
+                    // The flight-recorder line: journal events and spans
+                    // land in a bounded ring (drop-oldest, so memory stays
+                    // flat across the whole run) with the per-span CPU
+                    // read disabled — the exact CI always-on
+                    // configuration.
+                    cms_obs::set_ring_capacity_override(Some(4096));
+                    cms_obs::set_cpu_sampling_override(false);
+                }
+                let sol = ds.solve(cfg);
+                assert!(sol.admm.health.is_nominal(), "clean path must stay nominal");
+                std::hint::black_box(sol.admm.iterations);
+            }),
+        ));
+    }
+    group.sample_size(240);
+    group.bench_interleaved(bodies);
+    cms_obs::clear_level_override();
+    cms_obs::clear_ring_capacity_override();
+    cms_obs::clear_cpu_sampling_override();
+    let _ = cms_obs::drain_journal_snapshot();
+    let _ = cms_obs::drain_spans();
     group.finish();
     emit("admm", "work/ds100", &[ds_sol.term_updates as f64]);
 
@@ -315,7 +370,7 @@ fn bench_admm(c: &mut Criterion) {
     let mut ref_local = Vec::new();
     let mut ref_consensus = Vec::new();
     for _ in 0..runs {
-        let mut rs = RefSolver::new(&ground);
+        let mut rs = RefSolver::new(&ap4);
         let (mut l, mut cns) = (0.0, 0.0);
         for _ in 0..iters {
             let (a, b) = rs.iterate(1.0);
@@ -331,60 +386,13 @@ fn bench_admm(c: &mut Criterion) {
         let mut local = Vec::new();
         let mut consensus = Vec::new();
         for _ in 0..runs {
-            let sol = ground.solve(&fixed_cfg(threads, iters)).admm;
+            let sol = solve(&ap4, &fixed_cfg(threads, iters));
             local.push(sol.local_time.as_nanos() as f64 / sol.iterations as f64);
             consensus.push(sol.consensus_time.as_nanos() as f64 / sol.iterations as f64);
         }
         emit("admm", &format!("local-{id}/ap4"), &local);
         emit("admm", &format!("consensus-{id}/ap4"), &consensus);
     }
-
-    // Warm-start iteration counts over a flip/reground sequence: cold
-    // solves vs consensus-only warm starts vs consensus+dual warm starts.
-    // These lines carry *iteration counts* (deterministic and
-    // machine-independent), not nanoseconds.
-    let admm = AdmmConfig {
-        threads: 1,
-        parallel_threshold: usize::MAX,
-        ..AdmmConfig::default()
-    };
-    let mut ground = ground;
-    let (cold0, mut duals) = ground.solve_warm_dual(&admm, &[], None);
-    let mut values_consensus = cold0.admm.values.clone();
-    let mut values_dual = cold0.admm.values;
-    let mut cold_iters = 0usize;
-    let mut warm_consensus_iters = 0usize;
-    let mut warm_dual_iters = 0usize;
-    let flips = if quick { 2 } else { 10 };
-    for step in 0..flips {
-        let c = (step * 7 + 3) % model.num_candidates;
-        let on = step % 3 != 2;
-        program.db.observe(
-            GroundAtom::from_strs(preds.in_map, &[&format!("c{c}")]),
-            f64::from(u8::from(on)),
-        );
-        let delta = program.db.take_delta();
-        if delta.is_empty() {
-            continue;
-        }
-        ground = program.reground_owned(ground, &delta).expect("regrounds");
-        cold_iters += ground.solve(&admm).admm.iterations;
-        let warm = ground.solve_warm(&admm, &values_consensus);
-        warm_consensus_iters += warm.admm.iterations;
-        values_consensus.clone_from(&warm.admm.values);
-        let carried = ground.carry_duals(&duals).expect("reuse map present");
-        let (resumed, next) = ground.solve_warm_dual(&admm, &values_dual, Some(&carried));
-        warm_dual_iters += resumed.admm.iterations;
-        values_dual.clone_from(&resumed.admm.values);
-        duals = next;
-    }
-    emit("admm", "cold-iters/ap4", &[cold_iters as f64]);
-    emit(
-        "admm",
-        "warm-consensus-iters/ap4",
-        &[warm_consensus_iters as f64],
-    );
-    emit("admm", "warm-dual-iters/ap4", &[warm_dual_iters as f64]);
 }
 
 criterion_group!(benches, bench_admm);

@@ -22,20 +22,10 @@ fn bench_selection(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("selection");
     group.sample_size(20);
-    // The two local-search variants are benched under distinct ids: the
-    // default is the pure discrete flip search, the opt-in `+relax` one
-    // additionally pays the per-climb reground + warm-ADMM relaxation.
     let selectors: Vec<(&str, Box<dyn Selector>)> = vec![
         ("independent", Box::new(IndependentBaseline)),
         ("greedy", Box::new(Greedy)),
         ("local-search", Box::new(LocalSearch::default())),
-        (
-            "local-search+relax",
-            Box::new(LocalSearch {
-                track_relaxation: true,
-                ..LocalSearch::default()
-            }),
-        ),
         ("branch-bound", Box::new(BranchBound::default())),
         ("psl-collective", Box::new(PslCollective::default())),
     ];

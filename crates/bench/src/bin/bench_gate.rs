@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! bench_gate --baseline BENCH_grounding_baseline.json --log grounding.log \
-//!            --baseline BENCH_regrounding_baseline.json --log regrounding.log \
+//!            --baseline BENCH_admm_baseline.json --log admm.log \
 //!            [--factor 2.0] [--ratio a/x/1:b/y/1<=1.05]...
 //! ```
 //!

@@ -17,8 +17,8 @@
 //!   drops are reported, never otherwise. Headerless exports are held to
 //!   zero internal gaps (pre-ring journals were complete);
 //! * every required event kind occurs at least once. The default
-//!   requirement is the full pipeline:
-//!   `chase,ground,reground,solve,degradation`.
+//!   requirement is what a pipeline run with an injected solver fault
+//!   emits: `chase,solve,fault`.
 //!
 //! Exits 0 and prints a per-kind census (plus the drop accounting) on
 //! success; prints the first offending line and exits 1 on failure.
@@ -33,7 +33,7 @@ fn main() -> ExitCode {
         eprintln!("usage: journal_check <journal.jsonl> [--require <kind,kind,...>]");
         return ExitCode::FAILURE;
     };
-    let mut required: Vec<String> = ["chase", "ground", "reground", "solve", "degradation"]
+    let mut required: Vec<String> = ["chase", "solve", "fault"]
         .iter()
         .map(|s| (*s).to_owned())
         .collect();

@@ -11,13 +11,13 @@
 //! *which phase* paid for it:
 //!
 //! * profiles: per-label **self** wall-time deltas (the span labels are
-//!   the phases: `ground`, `reground`, `solve`, per-rule children, ...)
+//!   the phases: `ground`, `solve`, per-rule children, ...)
 //!   plus inclusive deltas and call-count drift;
 //! * journals: per-phase wall time aggregated from the typed events
-//!   (`chase`, `ground`, `reground`, `solve/local`, `solve/consensus`)
-//!   plus every numeric counter the events carry: each count field of
-//!   the `ChaseStats`/`GroundStats` field lists, ADMM iterations and
-//!   restarts, degradation rungs, faults, ring drops.
+//!   (`chase`, `ground`, `solve/local`, `solve/consensus`) plus every
+//!   numeric counter the events carry: each count field of the
+//!   `ChaseStats`/`GroundStats` field lists, ADMM iterations and
+//!   restarts, faults, ring drops.
 //!
 //! Exit code 0 on success (the tool explains; `bench_gate` gates),
 //! 1 on unreadable or mismatched inputs.
@@ -84,7 +84,7 @@ fn journal_tables(j: &JournalSnapshot) -> (Table, Table) {
         add(&mut counters, &format!("events.{kind}"), 1.0);
         match &r.event {
             Event::Chase(s) => add_stats(&mut wall_ms, &mut counters, kind, s.wall, s.counters()),
-            Event::Ground { stats: s, .. } | Event::Reground { stats: s, .. } => {
+            Event::Ground { stats: s, .. } => {
                 add_stats(&mut wall_ms, &mut counters, kind, s.wall, s.counters());
             }
             Event::Solve {
@@ -103,13 +103,6 @@ fn journal_tables(j: &JournalSnapshot) -> (Table, Table) {
                 add(&mut wall_ms, "solve/consensus", *consensus_ns as f64 / 1e6);
                 add(&mut counters, "solve.iterations", *iterations as f64);
                 add(&mut counters, "solve.restarts", *restarts as f64);
-            }
-            Event::Degradation(rung) => {
-                add(
-                    &mut counters,
-                    &format!("degradation.rung{}", rung.rung()),
-                    1.0,
-                );
             }
             Event::Fault { fault } => {
                 add(&mut counters, &format!("fault.{fault}"), 1.0);

@@ -9,11 +9,12 @@
 //! ```
 //!
 //! The workload is the telemetry pipeline end to end: scenario
-//! generation (chase), local-search selection opted into the warm
-//! relaxation (ground → reground → warm solve per climb). The run is
-//! forced to `CMS_OBS=journal` in-process so spans and events are
-//! captured regardless of the environment; the `CMS_OBS_RING` capacity
-//! knob applies as usual.
+//! generation (chase), then the paper's collective selector
+//! (`PslCollective`: model build, compile, one ADMM solve, rounding and
+//! repair) with the solver watchdog armed. The run is forced to
+//! `CMS_OBS=journal` in-process so spans and events are captured
+//! regardless of the environment; the `CMS_OBS_RING` capacity knob
+//! applies as usual.
 //!
 //! Outputs:
 //! * the profile table (inclusive vs self wall/CPU per span label,
@@ -26,14 +27,15 @@
 //!   header included.
 //!
 //! `--stall` arms the `SolverStall` fault once: the watchdog detects a
-//! (forced) stall on the first solve and restarts it, inflating solve
-//! self time — `obs_diff` against a clean run attributes the slowdown
-//! to the `solve` phase, which is exactly the acceptance check for the
-//! performance-attribution layer.
+//! (forced) stall at the PSL solve's first residual check and restarts
+//! it — `obs_diff` against a clean run attributes the regression to the
+//! `solve` phase (`solve.restarts`), which is exactly the acceptance
+//! check for the performance-attribution layer.
 
 use cms_bench::workloads::seeded_scenarios;
 use cms_ibench::{NoiseConfig, ScenarioConfig};
-use cms_select::{evaluate_scenario, LocalSearch, ObjectiveWeights};
+use cms_psl::AdmmConfig;
+use cms_select::{evaluate_scenario, ObjectiveWeights, PslCollective};
 use std::process::ExitCode;
 
 struct Args {
@@ -110,16 +112,16 @@ fn run() -> Result<(), String> {
     if args.stall {
         cms_psl::fault::arm(cms_psl::Fault::SolverStall);
     }
-    let local_search = LocalSearch {
-        track_relaxation: true,
-        ..LocalSearch::default()
+    let psl = PslCollective {
+        admm: AdmmConfig {
+            stall_window: 1000,
+            max_restarts: 2,
+            ..AdmmConfig::default()
+        },
+        ..PslCollective::default()
     };
-    let outcome = evaluate_scenario(
-        &scenarios[0],
-        &local_search,
-        &ObjectiveWeights::unweighted(),
-    )
-    .map_err(|e| format!("pipeline failed: {e}"))?;
+    let outcome = evaluate_scenario(&scenarios[0], &psl, &ObjectiveWeights::unweighted())
+        .map_err(|e| format!("pipeline failed: {e}"))?;
     cms_psl::fault::disarm();
     println!(
         "selector {}: F = {:.3}, mapping F1 = {:.3} ({} evaluations)\n",

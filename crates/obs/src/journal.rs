@@ -1,6 +1,5 @@
-//! Structured event journal: typed records for chase, ground, reground,
-//! solve, degradation and fault events, exportable as JSONL and as a
-//! human-readable tree.
+//! Structured event journal: typed records for chase, ground, solve and
+//! fault events, exportable as JSONL and as a human-readable tree.
 //!
 //! Events are only recorded at [`ObsLevel::Journal`]. Each record
 //! carries a process-wide sequence number, a nanosecond timestamp from
@@ -15,8 +14,9 @@
 //! capture; [`drain_journal_snapshot`] takes it together with a
 //! [`JournalHeader`] carrying the exact drop accounting, and
 //! [`dump_on_degradation`] persists the snapshot to `CMS_OBS_DUMP`
-//! whenever the degradation ladder fires rung ≥ 2 — a crash-style
-//! black box of the last N events before things went wrong.
+//! whenever a solve degrades (the watchdog restarted it, or it ended
+//! unhealthy) — a crash-style black box of the last N events before
+//! things went wrong.
 
 use crate::json::{self, escape_str, fmt_f64, Json};
 use crate::level::{enabled, ObsLevel};
@@ -26,65 +26,6 @@ use crate::stats::{ChaseStats, GroundStats};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// One degradation-ladder rung, as a typed record (previously a
-/// `note_degradation` string in `cms-select`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum DegradationRung {
-    /// Rung 1: non-finite carried duals were dropped before the warm
-    /// solve.
-    DroppedNonFiniteDuals {
-        /// Dual terms discarded.
-        dropped: u64,
-    },
-    /// Rung 2: the incremental reground was rejected and a fresh ground
-    /// ran instead.
-    FreshGround {
-        /// The reground error that forced the fallback.
-        reason: String,
-    },
-    /// Rung 3: a non-nominal warm solve was retried cold.
-    ColdSolve {
-        /// Health of the abandoned warm solve.
-        health: String,
-    },
-    /// Rung 4: fresh ground *and* cold solve after rung 3 stayed
-    /// non-nominal.
-    FreshGroundColdSolve {
-        /// Health of the abandoned rung-3 solve.
-        health: String,
-    },
-}
-
-impl DegradationRung {
-    /// Ladder position, 1-based.
-    pub fn rung(&self) -> u32 {
-        match self {
-            DegradationRung::DroppedNonFiniteDuals { .. } => 1,
-            DegradationRung::FreshGround { .. } => 2,
-            DegradationRung::ColdSolve { .. } => 3,
-            DegradationRung::FreshGroundColdSolve { .. } => 4,
-        }
-    }
-
-    /// Human-readable rendering of this rung, used in degradation notes.
-    pub fn render(&self) -> String {
-        match self {
-            DegradationRung::DroppedNonFiniteDuals { dropped } => {
-                format!("dropped {dropped} non-finite dual terms")
-            }
-            DegradationRung::FreshGround { reason } => {
-                format!("reground rejected ({reason}); fell back to fresh ground")
-            }
-            DegradationRung::ColdSolve { health } => {
-                format!("warm solve {health}; retried cold")
-            }
-            DegradationRung::FreshGroundColdSolve { health } => {
-                format!("cold solve {health}; fresh ground + cold solve")
-            }
-        }
-    }
-}
 
 /// A typed telemetry event.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,13 +37,6 @@ pub enum Event {
         /// Rule name (`rule#i` or the arithmetic rule's name).
         rule: String,
         /// The rule's stats.
-        stats: GroundStats,
-    },
-    /// One incremental reground of a whole program.
-    Reground {
-        /// Rules in the program.
-        rules: u64,
-        /// Totals across all rules after the splice.
         stats: GroundStats,
     },
     /// One ADMM solve (mirrors `AdmmSolution` in `cms-psl`).
@@ -127,8 +61,6 @@ pub enum Event {
         /// Wall time in the consensus step, nanoseconds.
         consensus_ns: u64,
     },
-    /// One degradation-ladder rung fired.
-    Degradation(DegradationRung),
     /// One injected fault observed (from the `cms_psl::fault` harness).
     Fault {
         /// Fault label, e.g. `poison-duals`.
@@ -142,9 +74,7 @@ impl Event {
         match self {
             Event::Chase(_) => "chase",
             Event::Ground { .. } => "ground",
-            Event::Reground { .. } => "reground",
             Event::Solve { .. } => "solve",
-            Event::Degradation(_) => "degradation",
             Event::Fault { .. } => "fault",
         }
     }
@@ -206,9 +136,12 @@ pub fn events_dropped() -> u64 {
 ///
 /// Version 2 carries the stats structs' field lists as they are: the
 /// `ground`/`reground` records dropped `fallback_fresh_grounds` and
-/// `solver_restarts`. Version-1 exports still parse (unknown keys are
-/// ignored).
-pub const JOURNAL_HEADER_VERSION: u64 = 2;
+/// `solver_restarts`. Version 3 drops the `reground` and `degradation`
+/// kinds and the ground records' splice counters (`terms_reused`,
+/// `terms_recomputed`, `arith_bindings_spliced`, `entries_coalesced`,
+/// `sources_deduped`). Older exports still parse (unknown keys are
+/// ignored) unless they hold a record of a dropped kind.
+pub const JOURNAL_HEADER_VERSION: u64 = 3;
 
 /// Drop-accounting metadata exported as the first line of a journal
 /// snapshot, so a reader can tell exactly how much the flight recorder
@@ -396,18 +329,19 @@ pub fn clear_dump_path_override() {
     *DUMP_OVERRIDE.lock().unwrap_or_else(PoisonError::into_inner) = None;
 }
 
-/// Crash-style flight-recorder dump: when the degradation ladder fires
-/// rung ≥ 2 (fresh-ground fallback or worse) and a dump path is
-/// configured (`CMS_OBS_DUMP` or [`set_dump_path_override`]), persist
-/// the current journal snapshot — header line plus the last N retained
-/// events — to that path, overwriting any previous dump so the file
-/// always holds the window before the *latest* serious degradation.
+/// Crash-style flight-recorder dump: the ADMM solver calls this when a
+/// solve degrades (its watchdog restarted it, or it ended stalled,
+/// diverged or timed out). When a dump path is configured
+/// (`CMS_OBS_DUMP` or [`set_dump_path_override`]), persist the current
+/// journal snapshot — header line plus the last N retained events — to
+/// that path, overwriting any previous dump so the file always holds the
+/// window before the *latest* degradation.
 ///
 /// Best-effort by design: IO errors are swallowed (telemetry must never
 /// take the pipeline down). Returns the path written, `None` when the
 /// dump was skipped or failed.
-pub fn dump_on_degradation(rung: u32) -> Option<String> {
-    if rung < 2 || !enabled(ObsLevel::Journal) {
+pub fn dump_on_degradation() -> Option<String> {
+    if !enabled(ObsLevel::Journal) {
         return None;
     }
     let path = dump_path()?;
@@ -447,10 +381,6 @@ pub fn to_json_line(r: &EventRecord) -> String {
             push_str(&mut out, "rule", rule);
             stats.push_json(&mut out);
         }
-        Event::Reground { rules, stats } => {
-            push_u64(&mut out, "rules", *rules);
-            stats.push_json(&mut out);
-        }
         Event::Solve {
             iterations,
             converged,
@@ -471,21 +401,6 @@ pub fn to_json_line(r: &EventRecord) -> String {
             push_f64(&mut out, "max_violation", *max_violation);
             push_u64(&mut out, "local_ns", *local_ns);
             push_u64(&mut out, "consensus_ns", *consensus_ns);
-        }
-        Event::Degradation(rung) => {
-            push_u64(&mut out, "rung", u64::from(rung.rung()));
-            match rung {
-                DegradationRung::DroppedNonFiniteDuals { dropped } => {
-                    push_u64(&mut out, "dropped", *dropped);
-                }
-                DegradationRung::FreshGround { reason } => {
-                    push_str(&mut out, "reason", reason);
-                }
-                DegradationRung::ColdSolve { health }
-                | DegradationRung::FreshGroundColdSolve { health } => {
-                    push_str(&mut out, "health", health);
-                }
-            }
         }
         Event::Fault { fault } => {
             push_str(&mut out, "fault", fault);
@@ -540,10 +455,6 @@ pub(crate) fn record_from_json(v: &Json) -> Result<EventRecord, String> {
             rule: req_str(v, "rule")?,
             stats: GroundStats::parse_json(v)?,
         },
-        "reground" => Event::Reground {
-            rules: req_u64(v, "rules")?,
-            stats: GroundStats::parse_json(v)?,
-        },
         "solve" => Event::Solve {
             iterations: req_u64(v, "iterations")?,
             converged: v
@@ -561,24 +472,6 @@ pub(crate) fn record_from_json(v: &Json) -> Result<EventRecord, String> {
             local_ns: req_u64(v, "local_ns")?,
             consensus_ns: req_u64(v, "consensus_ns")?,
         },
-        "degradation" => {
-            let rung = match req_u64(v, "rung")? {
-                1 => DegradationRung::DroppedNonFiniteDuals {
-                    dropped: req_u64(v, "dropped")?,
-                },
-                2 => DegradationRung::FreshGround {
-                    reason: req_str(v, "reason")?,
-                },
-                3 => DegradationRung::ColdSolve {
-                    health: req_str(v, "health")?,
-                },
-                4 => DegradationRung::FreshGroundColdSolve {
-                    health: req_str(v, "health")?,
-                },
-                n => return Err(format!("unknown degradation rung {n}")),
-            };
-            Event::Degradation(rung)
-        }
         "fault" => Event::Fault {
             fault: req_str(v, "fault")?,
         },
@@ -620,10 +513,6 @@ fn event_line(r: &EventRecord) -> String {
         Event::Ground { rule, stats: s } => {
             format!("ground {rule}: {}", stats_summary(s.counters(), s.wall))
         }
-        Event::Reground { rules, stats: s } => format!(
-            "reground ({rules} rules): {}",
-            stats_summary(s.counters(), s.wall)
-        ),
         Event::Solve {
             iterations,
             components,
@@ -635,9 +524,6 @@ fn event_line(r: &EventRecord) -> String {
             "solve: {iterations} iters, {components} components, health={health}, \
              restarts={restarts}, obj={objective:.3}"
         ),
-        Event::Degradation(rung) => {
-            format!("degradation rung {}: {}", rung.rung(), rung.render())
-        }
         Event::Fault { fault } => format!("fault injected: {fault}"),
     };
     format!("[{t_ms:9.3}ms] #{} {}", r.seq, body)

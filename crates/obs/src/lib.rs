@@ -13,7 +13,7 @@
 //!   explicit parent IDs for worker threads — active from
 //!   [`ObsLevel::Spans`];
 //! * a **structured event journal** ([`emit`]) of typed chase /
-//!   ground / reground / solve / degradation / fault records,
+//!   ground / solve / fault records,
 //!   exportable as JSONL ([`export_jsonl`]) and as a human-readable
 //!   tree ([`render_tree`]) — active at [`ObsLevel::Journal`].
 //!
@@ -21,8 +21,8 @@
 //! [`ChaseStats`] and [`GroundStats`], each declared once in [`stats`].
 //!
 //! At `off` every recording call is one relaxed atomic load and an
-//! untaken branch; the regrounding bench gates the `stats` level at
-//! ≤2% overhead on the warm-flip path. See `docs/observability.md`
+//! untaken branch; the ADMM bench gates the `stats` level at ≤2%
+//! overhead on the `data-scale` PSL solve. See `docs/observability.md`
 //! for the span hierarchy, metric names and JSONL schema.
 
 #![forbid(unsafe_code)]
@@ -42,8 +42,7 @@ pub mod trace;
 pub use journal::{
     clear_dump_path_override, drain_journal, drain_journal_snapshot, dump_on_degradation, emit,
     events_dropped, export_jsonl, from_json_line, parse_jsonl, render_tree, set_dump_path_override,
-    snapshot_journal, to_json_line, DegradationRung, Event, EventRecord, JournalHeader,
-    JournalSnapshot,
+    snapshot_journal, to_json_line, Event, EventRecord, JournalHeader, JournalSnapshot,
 };
 pub use level::{clear_level_override, enabled, level, set_level_override, ObsLevel};
 pub use metrics::{

@@ -225,8 +225,8 @@ impl Registry {
 /// A named counter that resolves its [`Registry`] handle on first use
 /// and caches it for the life of the process.
 ///
-/// `static` instances let per-call hot paths (e.g. the per-flip
-/// ground/reground/solve bookkeeping the overhead gate times) skip the
+/// `static` instances let per-call hot paths (e.g. the per-solve
+/// bookkeeping the overhead gate times) skip the
 /// registry lock and by-name lookup entirely after the first recording
 /// — one relaxed atomic add per call thereafter. The handle itself is
 /// level-agnostic, exactly like an `Arc<Counter>` fetched manually;

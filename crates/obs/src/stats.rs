@@ -1,6 +1,6 @@
 //! The grounding and chase engines' work counters, each declared once.
 //!
-//! [`GroundStats`] (filled by `cms-psl`'s grounder and regrounder) and
+//! [`GroundStats`] (filled by `cms-psl`'s grounder) and
 //! [`ChaseStats`] (filled by `cms-tgd`'s chase engine) live here, next to
 //! the journal that carries them, so that one ordered field list per
 //! struct generates everything that names a counter: the struct itself,
@@ -186,28 +186,6 @@ stats_struct! {
         /// argument at that backtracking node). The index "short-circuits"
         /// work exactly when this stays near the root-literal pool size.
         candidates_scanned: usize,
-        /// Ground terms spliced unchanged from a prior ground program by
-        /// `Program::reground` (always 0 for a full grounding).
-        terms_reused: usize,
-        /// Groundings recomputed by `Program::reground` because a mutated
-        /// atom touched them (always 0 for a full grounding).
-        terms_recomputed: usize,
-        /// Arithmetic-rule free bindings whose summation folds were
-        /// spliced unchanged by `Program::reground` — the per-binding
-        /// splice table let them skip re-folding entirely (always 0 for a
-        /// full grounding).
-        arith_bindings_spliced: usize,
-        /// Raw delta entries the drain coalesced away before
-        /// `Program::reground` saw them (cancelling add/remove pairs,
-        /// folded `Changed` chains). Recorded delta-wide under the
-        /// synthetic `"delta-batch"` rule entry; always 0 for a full
-        /// grounding.
-        entries_coalesced: usize,
-        /// Batch entries whose work item (seeded re-grounding, arith free
-        /// binding, or whole-rule re-ground) was already scheduled by an
-        /// earlier entry of the same drained delta, so they cost nothing
-        /// extra (always 0 for a full grounding).
-        sources_deduped: usize,
         /// Wall time spent grounding.
         wall: Duration,
     }
@@ -215,9 +193,6 @@ stats_struct! {
         /// Add these stats to the `ground.*` registry counters (one full
         /// grounding). The caller checks [`ObsLevel::Stats`].
         pub fn record_ground => "ground";
-        /// Add these stats to the `reground.*` registry counters (one
-        /// incremental reground). The caller checks [`ObsLevel::Stats`].
-        pub fn record_reground => "reground";
     }
 }
 

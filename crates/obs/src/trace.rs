@@ -200,7 +200,7 @@ pub fn parse_trace_json(text: &str) -> Result<Trace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{DegradationRung, Event};
+    use crate::journal::Event;
     use crate::stats::GroundStats;
 
     fn sample_spans() -> Vec<SpanRecord> {
@@ -247,9 +247,9 @@ mod tests {
                 seq: 1,
                 t_ns: 2_500,
                 span: SpanId::NONE,
-                event: Event::Degradation(DegradationRung::FreshGround {
-                    reason: "state mismatch".into(),
-                }),
+                event: Event::Fault {
+                    fault: "solver \"stall\"".into(),
+                },
             },
         ]
     }

@@ -3,7 +3,7 @@
 //! field names exactly one `<prefix>.<field>` registry counter, and
 //! journals exported before the field lists existed (header version 1,
 //! with the since-dropped `fallback_fresh_grounds`/`solver_restarts`
-//! keys) still parse.
+//! and splice-counter keys) still parse.
 
 use cms_obs::json::{self, Json};
 use cms_obs::{
@@ -13,20 +13,22 @@ use cms_obs::{
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// A version-1 export: header, then one chase, ground and reground line
-/// each, in the exporter's format and taken from a real export (renumbered,
-/// with the since-dropped ladder keys set nonzero on the reground line).
+/// A version-1 export: header, then one chase and two ground lines, in the
+/// exporter's format and taken from a real export (renumbered, with the
+/// since-dropped ladder and splice keys set nonzero on the second ground
+/// line). The export's `reground` line is left out: that kind is gone,
+/// and a record of it no longer parses.
 const V1_JOURNAL: &str = r#"{"type":"journal-header","version":1,"events":3,"base_seq":0,"events_dropped":0,"events_dropped_total":0,"ring_capacity":4096}
 {"seq":0,"t_ns":284131,"span":1,"type":"chase","tgds":15,"trie_nodes":8,"prefix_bindings_computed":199,"prefix_bindings_reused":199,"candidates_probed":25,"candidates_scanned":174,"firings":373,"tuples_emitted":501,"wall_ns":168204}
 {"seq":1,"t_ns":8196399,"span":6,"type":"ground","rule":"explain-reward","substitutions":222,"potentials":222,"constraints":0,"pruned":0,"constant_loss":0.0,"candidates_probed":0,"candidates_scanned":222,"terms_reused":0,"terms_recomputed":0,"arith_bindings_spliced":0,"fallback_fresh_grounds":0,"solver_restarts":0,"entries_coalesced":0,"sources_deduped":0,"wall_ns":289591}
-{"seq":2,"t_ns":9350592,"span":15,"type":"reground","rules":2,"substitutions":365,"potentials":346,"constraints":248,"pruned":124,"constant_loss":18.0,"candidates_probed":33,"candidates_scanned":222,"terms_reused":383,"terms_recomputed":226,"arith_bindings_spliced":0,"fallback_fresh_grounds":1,"solver_restarts":2,"entries_coalesced":0,"sources_deduped":0,"wall_ns":346176}
+{"seq":2,"t_ns":9350592,"span":15,"type":"ground","rule":"error-link","substitutions":365,"potentials":346,"constraints":248,"pruned":124,"constant_loss":18.0,"candidates_probed":33,"candidates_scanned":222,"terms_reused":383,"terms_recomputed":226,"arith_bindings_spliced":0,"fallback_fresh_grounds":1,"solver_restarts":2,"entries_coalesced":0,"sources_deduped":0,"wall_ns":346176}
 "#;
 
 #[test]
 fn version_1_exports_still_parse() {
     let snapshot = JournalSnapshot::parse(V1_JOURNAL).expect("v1 journal parses");
     assert_eq!(snapshot.header.version, 1);
-    assert_eq!(cms_obs::snapshot_journal().header.version, 2);
+    assert_eq!(cms_obs::snapshot_journal().header.version, 3);
     let events: Vec<Event> = snapshot.records.into_iter().map(|r| r.event).collect();
     assert_eq!(
         events,
@@ -52,8 +54,8 @@ fn version_1_exports_still_parse() {
                     ..GroundStats::default()
                 },
             },
-            Event::Reground {
-                rules: 2,
+            Event::Ground {
+                rule: "error-link".into(),
                 stats: GroundStats {
                     substitutions: 365,
                     potentials: 346,
@@ -62,10 +64,7 @@ fn version_1_exports_still_parse() {
                     constant_loss: 18.0,
                     candidates_probed: 33,
                     candidates_scanned: 222,
-                    terms_reused: 383,
-                    terms_recomputed: 226,
                     wall: Duration::from_nanos(346_176),
-                    ..GroundStats::default()
                 },
             },
         ]
@@ -102,12 +101,7 @@ fn every_field_round_trips_and_names_one_registry_counter() {
         constant_loss: 5.5,
         candidates_probed: 6,
         candidates_scanned: 7,
-        terms_reused: 8,
-        terms_recomputed: 9,
-        arith_bindings_spliced: 10,
-        entries_coalesced: 11,
-        sources_deduped: 12,
-        wall: Duration::from_nanos(13),
+        wall: Duration::from_nanos(8),
     };
     let record = EventRecord {
         seq: 0,
@@ -129,7 +123,7 @@ fn every_field_round_trips_and_names_one_registry_counter() {
     expected.sort();
     assert_eq!(keys.keys().cloned().collect::<Vec<_>>(), expected);
     assert_eq!(keys["constant_loss"].as_f64(), Some(5.5));
-    assert_eq!(keys["wall_ns"].as_u64(), Some(13));
+    assert_eq!(keys["wall_ns"].as_u64(), Some(8));
 
     // The registry holds `ground.runs` plus exactly `ground.<field>` for
     // each integer field, with the value that field carried in JSONL.

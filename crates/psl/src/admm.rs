@@ -1,5 +1,5 @@
 //! Consensus-ADMM MAP inference for hinge-loss MRFs, with a **sharded,
-//! deterministic** consensus step and **reusable dual state**.
+//! deterministic** consensus step.
 //!
 //! This is the solver of Bach et al., "Hinge-Loss Markov Random Fields and
 //! Probabilistic Soft Logic" (JMLR 2017): every ground potential and hard
@@ -82,8 +82,7 @@
 //! residual test over its own copies, its own iteration count,
 //! stall/divergence watchdogs and restarts; a block that stops drops out
 //! of the loop. The per-block outcomes merge into the one
-//! [`AdmmSolution`]/[`DualState`] of the call, in the original variable
-//! and term order:
+//! [`AdmmSolution`] of the call, in the original variable order:
 //!
 //! * `values` are scattered back to the original variable ids;
 //! * `iterations` is the maximum over blocks, `converged` holds only if
@@ -93,18 +92,6 @@
 //!   sums, and `components` counts the blocks;
 //! * one [`AdmmConfig::time_budget`] deadline covers the whole call, and
 //!   the solve is published to telemetry once per call.
-//!
-//! ## Warm starts and dual reuse
-//!
-//! [`AdmmSolver::solve_warm`] seeds the consensus vector from a previous
-//! solution *and* the per-term scaled duals from a [`DualState`] returned
-//! by an earlier solve. Terms whose dual vector is missing (empty) or of
-//! the wrong length start at zero. Re-seeding both `z` and `u` makes a
-//! solve on a slightly perturbed program resume almost where the previous
-//! one stopped — the delta-regrounding subsystem keeps term identity
-//! across regrounds precisely so that
-//! [`crate::GroundProgram::carry_duals`] can map a prior [`DualState`]
-//! onto the spliced program.
 
 use crate::hinge::{ConstraintKind, GroundConstraint, GroundPotential};
 use std::ops::Range;
@@ -281,60 +268,6 @@ enum TermKind {
     Constraint { equality: bool },
 }
 
-/// Warm-start inputs for [`AdmmSolver::solve_warm`].
-#[derive(Clone, Copy, Default, Debug)]
-pub struct WarmStart<'a> {
-    /// Consensus seed: values are clamped to `[0,1]`; variables beyond the
-    /// slice length start at [`AdmmConfig::initial_value`].
-    pub values: Option<&'a [f64]>,
-    /// Scaled-dual seed from a previous solve of the same (or a spliced)
-    /// program. Terms with a missing or wrong-length entry start at zero.
-    pub duals: Option<&'a DualState>,
-}
-
-/// Per-term scaled duals `u` captured at the end of a solve, aligned with
-/// the solver's potentials-then-constraints term order. Feed it back via
-/// [`WarmStart::duals`] to resume iteration; map it across a delta
-/// reground with [`crate::GroundProgram::carry_duals`].
-#[derive(Clone, Debug, Default)]
-pub struct DualState {
-    pub(crate) potentials: Vec<Vec<f64>>,
-    pub(crate) constraints: Vec<Vec<f64>>,
-}
-
-impl DualState {
-    /// Dual vectors per potential, in the program's potential order.
-    pub fn potential_duals(&self) -> &[Vec<f64>] {
-        &self.potentials
-    }
-
-    /// Dual vectors per constraint, in the program's constraint order.
-    pub fn constraint_duals(&self) -> &[Vec<f64>] {
-        &self.constraints
-    }
-
-    /// Number of terms carrying a non-empty dual vector — i.e. terms that
-    /// will actually seed `u` on the next solve.
-    pub fn seeded_terms(&self) -> usize {
-        self.potentials
-            .iter()
-            .chain(self.constraints.iter())
-            .filter(|d| !d.is_empty())
-            .count()
-    }
-
-    /// True iff every stored dual value is finite. A poisoned (NaN/∞)
-    /// state must not be fed back into a warm start: the workspace builder
-    /// would skip the poisoned vectors silently, so callers on the
-    /// degradation ladder check here first and count the fallback.
-    pub fn all_finite(&self) -> bool {
-        self.potentials
-            .iter()
-            .chain(self.constraints.iter())
-            .all(|d| d.iter().all(|x| x.is_finite()))
-    }
-}
-
 /// Result of a solve.
 #[derive(Clone, Debug)]
 pub struct AdmmSolution {
@@ -375,12 +308,15 @@ impl AdmmSolution {
     /// counters at [`cms_obs::ObsLevel::Stats`], synthetic local/
     /// consensus phase spans under `parent` at
     /// [`cms_obs::ObsLevel::Spans`], and a typed
-    /// [`cms_obs::Event::Solve`] at [`cms_obs::ObsLevel::Journal`].
-    /// No-op (one atomic load) when telemetry is off.
+    /// [`cms_obs::Event::Solve`] at [`cms_obs::ObsLevel::Journal`]. A
+    /// solve the watchdog restarted, or one that ended stalled, diverged
+    /// or timed out, then also triggers the flight recorder's
+    /// [`cms_obs::dump_on_degradation`]. No-op (one atomic load) when
+    /// telemetry is off.
     fn publish(&self, parent: cms_obs::SpanId) {
         if cms_obs::enabled(cms_obs::ObsLevel::Stats) {
-            // Cached handles: `publish` runs once per solve inside the
-            // flip loop the telemetry-overhead gate times.
+            // Cached handles: `publish` runs once per solve, inside the
+            // solve the telemetry-overhead gate times.
             use cms_obs::LazyCounter;
             static RUNS: LazyCounter = LazyCounter::new("solve.runs");
             static ITERATIONS: LazyCounter = LazyCounter::new("solve.iterations");
@@ -427,6 +363,9 @@ impl AdmmSolution {
                 local_ns: self.local_time.as_nanos() as u64,
                 consensus_ns: self.consensus_time.as_nanos() as u64,
             });
+            if self.restarts > 0 || !self.health.is_nominal() {
+                cms_obs::dump_on_degradation();
+            }
         }
     }
 }
@@ -499,9 +438,6 @@ struct Block {
 /// term-major view through `slot_upos` / `shard_slot`. Workspace term and
 /// variable ids map back to the caller's through `term_pos` / `var_orig`.
 struct Workspace {
-    num_potentials: usize,
-    /// Original term (potentials, then constraints) → workspace term.
-    term_pos: Vec<u32>,
     /// Workspace variable → original variable.
     var_orig: Vec<u32>,
     blocks: Vec<Block>,
@@ -668,22 +604,6 @@ impl Workspace {
         }
         values
     }
-
-    /// Read the duals back out into per-term vectors, in the original
-    /// term order.
-    fn extract_duals(&self) -> DualState {
-        let term_duals = |&t: &u32| -> Vec<f64> {
-            let t = t as usize;
-            (self.term_start[t] as usize..self.term_start[t + 1] as usize)
-                .map(|i| f_load(&self.u[self.slot_upos[i] as usize]))
-                .collect()
-        };
-        let (potentials, constraints) = self.term_pos.split_at(self.num_potentials);
-        DualState {
-            potentials: potentials.iter().map(term_duals).collect(),
-            constraints: constraints.iter().map(term_duals).collect(),
-        }
-    }
 }
 
 /// Stable counting sort of the indices `0..keys.len()` by key (every key
@@ -755,47 +675,8 @@ impl<'a> AdmmSolver<'a> {
 
     /// Run ADMM to convergence (or the iteration cap).
     pub fn solve(&self, config: &AdmmConfig) -> AdmmSolution {
-        self.solve_inner(config, WarmStart::default(), false).0
-    }
-
-    /// Run ADMM warm-started from a previous consensus vector (duals reset
-    /// to zero). Kept for callers that carry no dual state; see
-    /// [`AdmmSolver::solve_warm`] for the full warm start.
-    pub fn solve_from(&self, config: &AdmmConfig, warm: Option<&[f64]>) -> AdmmSolution {
-        self.solve_inner(
-            config,
-            WarmStart {
-                values: warm,
-                duals: None,
-            },
-            false,
-        )
-        .0
-    }
-
-    /// Run ADMM with a full warm start (consensus values and/or scaled
-    /// duals) and return the solution together with the final
-    /// [`DualState`] for the next resume.
-    pub fn solve_warm(
-        &self,
-        config: &AdmmConfig,
-        warm: WarmStart<'_>,
-    ) -> (AdmmSolution, DualState) {
-        let (sol, duals) = self.solve_inner(config, warm, true);
-        (sol, duals.unwrap_or_default())
-    }
-
-    /// Shared solve driver. Dual extraction is skipped unless requested —
-    /// `solve`/`solve_from` drop the state, so they should not pay the
-    /// per-term allocations for it.
-    fn solve_inner(
-        &self,
-        config: &AdmmConfig,
-        warm: WarmStart<'_>,
-        want_duals: bool,
-    ) -> (AdmmSolution, Option<DualState>) {
         let _span = cms_obs::span("solve");
-        let ws = self.build_workspace(config, &warm);
+        let ws = self.build_workspace(config);
         let partials: Vec<ShardPartials> = (0..ws.shards.len())
             .map(|_| ShardPartials::default())
             .collect();
@@ -840,7 +721,7 @@ impl<'a> AdmmSolver<'a> {
             restarts: runs.iter().map(|r| r.restarts).sum(),
         };
         solution.publish(_span.id());
-        (solution, want_duals.then(|| ws.extract_duals()))
+        solution
     }
 
     /// Σ weighted potential values under `y`.
@@ -850,8 +731,9 @@ impl<'a> AdmmSolver<'a> {
 
     /// Build the flattened, block-major workspace: components found by
     /// union-find and grouped into blocks, SoA terms in block order,
-    /// shards cut at block boundaries, seeded `z`/`y`/`u`.
-    fn build_workspace(&self, config: &AdmmConfig, warm: &WarmStart<'_>) -> Workspace {
+    /// shards cut at block boundaries, `z` and `y` at the initial value,
+    /// `u` at zero.
+    fn build_workspace(&self, config: &AdmmConfig) -> Workspace {
         let n = self.num_vars;
         let num_potentials = self.potentials.len();
         let num_terms = num_potentials + self.constraints.len();
@@ -963,10 +845,6 @@ impl<'a> AdmmSolver<'a> {
         for (pos, &v) in var_orig.iter().enumerate() {
             var_pos[v as usize] = pos as u32;
         }
-        let mut term_pos = vec![0u32; num_terms];
-        for (pos, &t) in term_orig.iter().enumerate() {
-            term_pos[t as usize] = pos as u32;
-        }
 
         let mut term_start: Vec<u32> = Vec::with_capacity(num_terms + 1);
         let mut kind: Vec<TermKind> = Vec::with_capacity(num_terms);
@@ -1068,47 +946,16 @@ impl<'a> AdmmSolver<'a> {
             sm_var[pos] = v;
         }
 
-        // Seed z from the warm values, y from z, u from the warm duals
-        // (both given in the caller's variable and term order).
-        let z: Vec<AtomicU64> = var_orig
-            .iter()
-            .map(|&v| {
-                let init = warm
-                    .values
-                    .and_then(|w| w.get(v as usize).copied())
-                    .map_or(config.initial_value, |x| x.clamp(0.0, 1.0));
-                AtomicU64::new(init.to_bits())
-            })
+        let z: Vec<AtomicU64> = (0..n)
+            .map(|_| AtomicU64::new(config.initial_value.to_bits()))
             .collect();
         let y: Vec<AtomicU64> = slot_var
             .iter()
             .map(|&v| AtomicU64::new(f_load(&z[v as usize]).to_bits()))
             .collect();
         let u: Vec<AtomicU64> = (0..total_copies).map(|_| AtomicU64::new(0)).collect();
-        if let Some(duals) = warm.duals {
-            let seed = |t: usize, d: &Vec<f64>| {
-                let t = term_pos[t] as usize;
-                let s0 = term_start[t] as usize;
-                let s1 = term_start[t + 1] as usize;
-                if d.len() == s1 - s0 && d.iter().all(|x| x.is_finite()) {
-                    for (i, &val) in (s0..s1).zip(d.iter()) {
-                        f_store(&u[slot_upos[i] as usize], val);
-                    }
-                }
-            };
-            for (t, d) in duals.potentials.iter().enumerate().take(num_potentials) {
-                seed(t, d);
-            }
-            for (j, d) in duals.constraints.iter().enumerate() {
-                if num_potentials + j < num_terms {
-                    seed(num_potentials + j, d);
-                }
-            }
-        }
 
         Workspace {
-            num_potentials,
-            term_pos,
             var_orig,
             blocks,
             term_start,
@@ -1770,59 +1617,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_dual_resume_converges_faster_than_value_only_warm() {
-        let potentials = random_instance(60);
-        let solver = AdmmSolver::new(&potentials, &[], 60);
-        let cfg = base_config();
-        let (cold, duals) = solver.solve_warm(&cfg, WarmStart::default());
-        assert!(cold.converged);
-        assert_eq!(duals.potential_duals().len(), potentials.len());
-        // Resume from the solution: with values only, ADMM must re-learn
-        // the duals; with values + duals it should stop (almost) at once.
-        let value_only = solver.solve_from(&cfg, Some(&cold.values));
-        let (resumed, _) = solver.solve_warm(
-            &cfg,
-            WarmStart {
-                values: Some(&cold.values),
-                duals: Some(&duals),
-            },
-        );
-        assert!(resumed.converged);
-        assert!(
-            resumed.iterations <= value_only.iterations,
-            "dual warm {} vs value-only warm {}",
-            resumed.iterations,
-            value_only.iterations
-        );
-        assert!(
-            (resumed.objective - cold.objective).abs() < 0.1,
-            "resumed {} vs cold {}",
-            resumed.objective,
-            cold.objective
-        );
-    }
-
-    #[test]
-    fn mismatched_dual_state_is_ignored() {
-        let p = vec![pot(&[(0, 1.0)], 0.0, 1.0)];
-        let solver = AdmmSolver::new(&p, &[], 1);
-        // Wrong-length dual vector: must be skipped, not crash or corrupt.
-        let bogus = DualState {
-            potentials: vec![vec![1.0, 2.0, 3.0]],
-            constraints: Vec::new(),
-        };
-        let (sol, _) = solver.solve_warm(
-            &base_config(),
-            WarmStart {
-                values: None,
-                duals: Some(&bogus),
-            },
-        );
-        assert!(sol.converged);
-        assert!(sol.values[0] < 1e-3);
-    }
-
-    #[test]
     fn adaptive_rho_reaches_same_optimum() {
         // A badly scaled problem: heavy weights vs default ρ.
         let p = vec![
@@ -1968,41 +1762,6 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_split_solve_resumes_from_its_dual_state_exactly() {
-        // Stop every block after its first iteration, then resume from the
-        // returned values and duals: the pair must finish bit-identical to
-        // one uninterrupted solve.
-        let (potentials, n) = two_chains();
-        let solver = AdmmSolver::new(&potentials, &[], n);
-        let cfg = base_config();
-        let (first, duals) = solver.solve_warm(
-            &AdmmConfig {
-                max_iterations: 1,
-                ..cfg.clone()
-            },
-            WarmStart::default(),
-        );
-        assert_eq!(first.health, SolveHealth::Capped);
-        let (resumed, _) = solver.solve_warm(
-            &cfg,
-            WarmStart {
-                values: Some(&first.values),
-                duals: Some(&duals),
-            },
-        );
-        let straight = solver.solve(&cfg);
-        assert!(resumed.converged && resumed.components == 2);
-        assert_eq!(1 + resumed.iterations, straight.iterations);
-        assert_eq!(
-            first.term_updates + resumed.term_updates,
-            straight.term_updates
-        );
-        for (v, (a, b)) in resumed.values.iter().zip(&straight.values).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "var {v}");
-        }
-    }
-
-    #[test]
     fn injected_stall_in_a_split_solve_is_reported_and_recovered() {
         let (potentials, n) = two_chains();
         let solver = AdmmSolver::new(&potentials, &[], n);
@@ -2110,35 +1869,6 @@ mod tests {
         assert_eq!(sol.health, SolveHealth::Diverged { at: 1 });
         assert_eq!(sol.iterations, 1);
         assert!(!sol.converged);
-    }
-
-    #[test]
-    fn restart_recovers_from_poisoned_warm_values() {
-        let potentials = random_instance(30);
-        let solver = AdmmSolver::new(&potentials, &[], 30);
-        let mut seed = vec![0.4; 30];
-        seed[3] = f64::NAN; // clamp(0,1) keeps NaN, so z is poisoned
-        let poisoned = solver.solve_from(&base_config(), Some(&seed));
-        assert_eq!(poisoned.health, SolveHealth::Diverged { at: 1 });
-
-        let recovered = solver.solve_from(
-            &AdmmConfig {
-                max_restarts: 2,
-                ..base_config()
-            },
-            Some(&seed),
-        );
-        assert_eq!(recovered.health, SolveHealth::Converged);
-        assert_eq!(recovered.restarts, 1);
-        let clean = solver.solve(&base_config());
-        // The restart runs at 2ρ, so it lands on a slightly different
-        // eps-accurate point than the clean solve — compare loosely.
-        assert!(
-            (recovered.objective - clean.objective).abs() < 5e-2,
-            "recovered {} vs clean {}",
-            recovered.objective,
-            clean.objective
-        );
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //!
 //! ## Grounding structure
 //!
-//! Grounding factors into three stages shared by the full grounder and the
-//! delta regrounder ([`crate::Program::reground`]):
+//! Grounding factors into three stages:
 //!
 //! 1. `arith_shape` validates the rule (summation variables must occur
 //!    in some atom and not be declared twice; weights, coefficients and
@@ -32,14 +31,10 @@
 //!    and projects onto the free variables — one binding per grounding, in
 //!    a deterministic enumeration order.
 //! 3. `fold_free_binding` expands one binding's summations and emits its
-//!    potential(s) or constraint, optionally reporting every ground atom
-//!    the fold instantiated (the *contributors*) so the caller can build
-//!    the per-binding splice table (`crate::delta::ArithTable`) that
-//!    lets `reground` re-fold exactly the bindings a mutation touches.
+//!    potential(s) or constraint.
 
 use crate::atom::GroundAtom;
 use crate::database::{Database, Resolved};
-use crate::delta::ArithTable;
 use crate::grounding::{GroundingError, VarRegistry};
 use crate::hinge::{ConstraintKind, GroundConstraint, GroundPotential};
 use crate::linear::LinExpr;
@@ -276,23 +271,23 @@ pub struct ArithGroundStats {
 }
 
 /// The validated shape of an arithmetic rule: its free-variable schema (in
-/// first-occurrence order — the splice-table key layout) and the fixed
-/// number of potentials/constraints every grounding emits.
+/// first-occurrence order) and the fixed number of potentials/constraints
+/// every grounding emits.
 #[derive(Clone, Debug)]
-pub(crate) struct ArithShape {
+struct ArithShape {
     /// Free variables, in first-occurrence order.
-    pub(crate) free_vars: Vec<String>,
+    free_vars: Vec<String>,
     /// Potentials emitted per grounding (0, 1, or 2 — weighted equalities
     /// emit two hinges).
-    pub(crate) pot_width: usize,
+    pot_width: usize,
     /// Constraints emitted per grounding (0 or 1).
-    pub(crate) con_width: usize,
+    con_width: usize,
 }
 
 /// Validate `rule` and derive its [`ArithShape`]. This is the single
 /// validation point shared by [`ArithRuleBuilder::build`] and every
 /// grounding path.
-pub(crate) fn arith_shape(rule: &ArithRule) -> Result<ArithShape, ArithError> {
+fn arith_shape(rule: &ArithRule) -> Result<ArithShape, ArithError> {
     if let Some(w) = rule.weight {
         if !w.is_finite() || w < 0.0 {
             return Err(ArithError::InvalidWeight {
@@ -381,46 +376,8 @@ pub fn ground_arith_rule(
         .ok_or_else(|| GroundingError::IndexUnavailable {
             rule: rule.name.clone(),
         })?;
-    ground_arith_impl(
-        rule,
-        db,
-        Some(index),
-        registry,
-        potentials,
-        constraints,
-        None,
-    )
-    .map_err(GroundingError::Arith)
-}
-
-/// Like [`ground_arith_rule`], additionally recording the per-free-binding
-/// splice table ([`ArithTable`]) the delta regrounder uses to re-fold only
-/// the bindings a mutation touches.
-pub(crate) fn ground_arith_rule_recorded(
-    rule: &ArithRule,
-    db: &Database,
-    registry: &mut VarRegistry,
-    potentials: &mut Vec<GroundPotential>,
-    constraints: &mut Vec<GroundConstraint>,
-) -> Result<(ArithGroundStats, ArithTable), GroundingError> {
-    let guard = db.index();
-    let index = guard
-        .as_ref()
-        .ok_or_else(|| GroundingError::IndexUnavailable {
-            rule: rule.name.clone(),
-        })?;
-    let mut table = ArithTable::default();
-    let stats = ground_arith_impl(
-        rule,
-        db,
-        Some(index),
-        registry,
-        potentials,
-        constraints,
-        Some(&mut table),
-    )
-    .map_err(GroundingError::Arith)?;
-    Ok((stats, table))
+    ground_arith_impl(rule, db, Some(index), registry, potentials, constraints)
+        .map_err(GroundingError::Arith)
 }
 
 /// Ground an arithmetic rule with pure pool scans — the reference
@@ -432,7 +389,7 @@ pub fn ground_arith_rule_naive(
     potentials: &mut Vec<GroundPotential>,
     constraints: &mut Vec<GroundConstraint>,
 ) -> Result<ArithGroundStats, GroundingError> {
-    ground_arith_impl(rule, db, None, registry, potentials, constraints, None)
+    ground_arith_impl(rule, db, None, registry, potentials, constraints)
         .map_err(GroundingError::Arith)
 }
 
@@ -443,17 +400,11 @@ fn ground_arith_impl(
     registry: &mut VarRegistry,
     potentials: &mut Vec<GroundPotential>,
     constraints: &mut Vec<GroundConstraint>,
-    mut table: Option<&mut ArithTable>,
 ) -> Result<ArithGroundStats, ArithError> {
     let shape = arith_shape(rule)?;
-    if let Some(t) = table.as_deref_mut() {
-        *t = ArithTable::new(shape.free_vars.clone());
-    }
     let keys = enumerate_free_bindings(rule, &shape, db, index);
     let mut stats = ArithGroundStats::default();
-    let mut contributors: Vec<GroundAtom> = Vec::new();
     for key in keys {
-        contributors.clear();
         fold_free_binding(
             rule,
             &shape,
@@ -463,26 +414,18 @@ fn ground_arith_impl(
             registry,
             potentials,
             constraints,
-            table.is_some().then_some(&mut contributors),
         )?;
         stats.groundings += 1;
         stats.potentials += shape.pot_width;
         stats.constraints += shape.con_width;
-        if let Some(t) = table.as_deref_mut() {
-            let ordinal = t.begin_binding(key);
-            for atom in &contributors {
-                t.record_contributor(ordinal, atom);
-            }
-        }
     }
     Ok(stats)
 }
 
 /// Enumerate the rule's free-variable bindings: join all atoms over the
 /// database pools, project onto the free variables, dedup by first
-/// occurrence. The order is deterministic in pool order, which is what
-/// keeps delta-spliced output byte-identical to a fresh grounding.
-pub(crate) fn enumerate_free_bindings(
+/// occurrence. The order is deterministic in pool order.
+fn enumerate_free_bindings(
     rule: &ArithRule,
     shape: &ArithShape,
     db: &Database,
@@ -509,12 +452,9 @@ pub(crate) fn enumerate_free_bindings(
 
 /// Expand one free binding's summations and emit its potential(s) or
 /// constraint — exactly [`ArithShape::pot_width`] potentials and
-/// [`ArithShape::con_width`] constraints are appended. When `contributors`
-/// is given, every ground atom the fold instantiates is pushed into it
-/// (the atoms whose observed values or pool membership this grounding
-/// depends on — the splice table's dependency edges).
+/// [`ArithShape::con_width`] constraints are appended.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn fold_free_binding(
+fn fold_free_binding(
     rule: &ArithRule,
     shape: &ArithShape,
     key: &[Sym],
@@ -523,7 +463,6 @@ pub(crate) fn fold_free_binding(
     registry: &mut VarRegistry,
     potentials: &mut Vec<GroundPotential>,
     constraints: &mut Vec<GroundConstraint>,
-    mut contributors: Option<&mut Vec<GroundAtom>>,
 ) -> Result<(), ArithError> {
     let sub: FxHashMap<String, Sym> = shape
         .free_vars
@@ -542,9 +481,6 @@ pub(crate) fn fold_free_binding(
             let mut target: Option<GroundAtom> = None;
             for atom in &term.atoms {
                 let ground = instantiate(atom, full);
-                if let Some(c) = contributors.as_deref_mut() {
-                    c.push(ground.clone());
-                }
                 match db.resolve(&ground) {
                     Resolved::Observed(v) => coef *= v,
                     Resolved::Target => {
@@ -632,48 +568,6 @@ fn instantiate(pattern: &RAtom, sub: &FxHashMap<String, Sym>) -> GroundAtom {
             })
             .collect(),
     )
-}
-
-/// Unify one rule atom pattern against a ground atom, returning the
-/// assignments it forces on the rule's *free* variables (`(free-var index,
-/// symbol)` pairs, deduplicated) — or `None` if the pattern cannot have
-/// instantiated the atom (constant mismatch, arity mismatch, or an
-/// inconsistent repeated variable). An empty mask means the atom can enter
-/// the summation of *every* free binding.
-///
-/// The delta regrounder uses this to decide which existing bindings a
-/// freshly **added** atom can contribute to: an atom enters a binding's
-/// summation only through a pattern instantiation that agrees with the
-/// binding on every free variable the pattern mentions.
-pub(crate) fn free_var_mask(
-    pattern: &RAtom,
-    atom: &GroundAtom,
-    free_vars: &[String],
-) -> Option<Vec<(usize, Sym)>> {
-    if pattern.pred != atom.pred || pattern.args.len() != atom.args.len() {
-        return None;
-    }
-    let mut local: FxHashMap<&str, Sym> = FxHashMap::default();
-    let mut mask: Vec<(usize, Sym)> = Vec::new();
-    for (t, &sym) in pattern.args.iter().zip(atom.args.iter()) {
-        match t {
-            RTerm::Const(k) => {
-                if *k != sym {
-                    return None;
-                }
-            }
-            RTerm::Var(v) => match local.insert(v.as_str(), sym) {
-                Some(prev) if prev != sym => return None,
-                Some(_) => {}
-                None => {
-                    if let Some(i) = free_vars.iter().position(|f| f == v) {
-                        mask.push((i, sym));
-                    }
-                }
-            },
-        }
-    }
-    Some(mask)
 }
 
 /// Join `atoms` against database pools, extending `sub`; call `f` on every
@@ -1062,29 +956,5 @@ mod tests {
             GroundingError::Arith(ArithError::InvalidWeight { .. })
         ));
         assert!(pots.is_empty() && cons.is_empty());
-    }
-
-    #[test]
-    fn free_var_mask_matches_pattern_instantiations() {
-        let (vocab, _) = setup();
-        let covers = vocab.id_of("covers").unwrap();
-        let free = vec!["T".to_owned()];
-        // covers(C,T) against covers(c1,t1): C is a sum var (not free), T
-        // is free position 0.
-        let pattern = ratom(covers, &["C", "T"]);
-        let atom = GroundAtom::from_strs(covers, &["c1", "t1"]);
-        let mask = free_var_mask(&pattern, &atom, &free).unwrap();
-        assert_eq!(mask, vec![(0usize, cms_data::Sym::new("t1"))]);
-        // Repeated variable must bind consistently.
-        let pattern = ratom(covers, &["C", "C"]);
-        assert!(free_var_mask(&pattern, &atom, &free).is_none());
-        let same = GroundAtom::from_strs(covers, &["c1", "c1"]);
-        assert_eq!(free_var_mask(&pattern, &same, &free), Some(vec![]));
-        // Constant mismatch.
-        let pattern = RAtom {
-            pred: covers,
-            args: vec![crate::rule::rconst("c9"), rvar("T")],
-        };
-        assert!(free_var_mask(&pattern, &atom, &free).is_none());
     }
 }

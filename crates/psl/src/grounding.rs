@@ -35,7 +35,6 @@
 
 use crate::atom::GroundAtom;
 use crate::database::{Database, Resolved};
-use crate::delta::TermSlot;
 use crate::hinge::{ConstraintKind, GroundConstraint, GroundPotential};
 use crate::linear::LinExpr;
 use crate::plan::{EmitLiteral, JoinPlan, SlotTerm};
@@ -146,12 +145,6 @@ pub struct GroundSink {
     pub potentials: Vec<GroundPotential>,
     /// Collected constraints.
     pub constraints: Vec<GroundConstraint>,
-    /// Complete-binding → emitted-artifact map recorded by the plan
-    /// engine (`ground_rule`), keyed by the slot binding of each
-    /// substitution; indices are relative to this sink. This is the splice
-    /// table [`crate::Program::reground`] uses to patch single groundings
-    /// in place. The naive reference grounder leaves it empty.
-    pub(crate) slots: FxHashMap<Vec<Sym>, TermSlot>,
 }
 
 /// Ground one rule into `sink`, registering target atoms in `registry`.
@@ -208,8 +201,8 @@ fn validate_pool_arities(rule: &LogicalRule, db: &Database) -> Result<(), Ground
 }
 
 /// Instantiate one grounding: build its distance-to-satisfaction LinExpr
-/// and record the binding → artifact slot for later delta splicing.
-pub(crate) fn emit(
+/// and route it to the sink.
+fn emit(
     rule: &LogicalRule,
     plan: &JoinPlan,
     db: &Database,
@@ -224,12 +217,7 @@ pub(crate) fn emit(
         add_literal(lit, db, binding, registry, &mut expr);
     }
     expr.normalize();
-    let slot = classify(rule, expr, sink, stats);
-    let key: Vec<Sym> = binding
-        .iter()
-        .map(|s| s.expect("complete binding has no holes"))
-        .collect();
-    sink.slots.insert(key, slot);
+    classify(rule, expr, sink, stats);
     Ok(())
 }
 
@@ -285,46 +273,21 @@ fn instantiate(
 
 /// Route a normalized distance expression to the sink (shared by the plan
 /// executor and the naive reference grounder — the *semantics* of a
-/// grounding are identical in both). Returns which artifact the grounding
-/// produced, with indices relative to `sink`.
-fn classify(
-    rule: &LogicalRule,
-    expr: LinExpr,
-    sink: &mut GroundSink,
-    stats: &mut GroundStats,
-) -> TermSlot {
+/// grounding are identical in both).
+fn classify(rule: &LogicalRule, expr: LinExpr, sink: &mut GroundSink, stats: &mut GroundStats) {
     // Prune if the hinge can never activate: max over the [0,1] box.
     let max_value: f64 = expr.constant + expr.terms.iter().map(|&(_, c)| c.max(0.0)).sum::<f64>();
     if max_value <= 1e-12 {
         stats.pruned += 1;
-        return TermSlot::Pruned;
+        return;
     }
-    if expr.is_constant() {
-        // Positive constant distance: nothing to infer.
-        match rule.weight {
-            Some(w) => {
-                let d = expr.constant.max(0.0);
-                let loss = if rule.squared { w * d * d } else { w * d };
-                stats.constant_loss += loss;
-                stats.pruned += 1;
-                return TermSlot::ConstLoss(loss);
-            }
-            None => {
-                // A hard rule violated by observations alone: keep it as a
-                // constraint so the solver reports infeasibility instead of
-                // silently dropping it.
-                sink.constraints.push(GroundConstraint {
-                    expr,
-                    kind: ConstraintKind::LeqZero,
-                    origin: rule.name.clone(),
-                });
-                stats.constraints += 1;
-                return TermSlot::Constraint((sink.constraints.len() - 1) as u32);
-            }
-        }
-    }
-
     match rule.weight {
+        Some(w) if expr.is_constant() => {
+            // Positive constant distance: nothing to infer.
+            let d = expr.constant.max(0.0);
+            stats.constant_loss += if rule.squared { w * d * d } else { w * d };
+            stats.pruned += 1;
+        }
         Some(w) => {
             sink.potentials.push(GroundPotential {
                 expr,
@@ -333,8 +296,10 @@ fn classify(
                 origin: rule.name.clone(),
             });
             stats.potentials += 1;
-            TermSlot::Potential((sink.potentials.len() - 1) as u32)
         }
+        // A hard rule violated by observations alone stays a constraint,
+        // so the solver reports infeasibility instead of silently
+        // dropping it.
         None => {
             sink.constraints.push(GroundConstraint {
                 expr,
@@ -342,7 +307,6 @@ fn classify(
                 origin: rule.name.clone(),
             });
             stats.constraints += 1;
-            TermSlot::Constraint((sink.constraints.len() - 1) as u32)
         }
     }
 }

@@ -12,6 +12,20 @@
 //! mapping. No PSL or Markov-logic crate exists in the ecosystem, so this
 //! engine is implemented from scratch.
 //!
+//! The pieces:
+//!
+//! * [`Program`] holds a [`Vocabulary`], a [`Database`] of observed and
+//!   target atoms, logical rules ([`rule`]), arithmetic rules
+//!   ([`arith`]) and raw linear terms; [`Program::ground`] grounds all of
+//!   them from scratch with the plan-compiled, index-probing grounder
+//!   ([`grounding`], [`plan`]), and [`Program::ground_naive`] with the
+//!   retained nested-loop reference.
+//! * [`AdmmSolver`] ([`admm`]) solves a ground program: sharded,
+//!   deterministic consensus ADMM per independent component, with a
+//!   stall/divergence watchdog, restarts and a time budget
+//!   ([`SolveHealth`]); [`fault`] injects a solver stall to test them.
+//! * [`rounding`] turns relaxed truths into a discrete choice.
+//!
 //! ```
 //! use cms_psl::{Vocabulary, Program, GroundAtom, RuleBuilder, rvar, AdmmConfig};
 //!
@@ -43,7 +57,6 @@ pub mod admm;
 pub mod arith;
 pub mod atom;
 pub mod database;
-pub mod delta;
 pub mod fault;
 pub mod grounding;
 pub mod hinge;
@@ -54,14 +67,13 @@ pub mod program;
 pub mod rounding;
 pub mod rule;
 
-pub use admm::{AdmmConfig, AdmmSolution, AdmmSolver, DualState, SolveHealth, WarmStart};
+pub use admm::{AdmmConfig, AdmmSolution, AdmmSolver, SolveHealth};
 pub use arith::{
     ground_arith_rule, ground_arith_rule_naive, ArithError, ArithRule, ArithRuleBuilder, ArithTerm,
     Comparison,
 };
 pub use atom::GroundAtom;
 pub use database::{Database, Resolved};
-pub use delta::{DbDelta, DeltaEntry, DeltaKind, DependencyMap, RegroundError};
 pub use fault::Fault;
 pub use grounding::{
     ground_rule, reference::ground_rule_naive, GroundSink, GroundStats, GroundingError, VarRegistry,

@@ -175,66 +175,6 @@ impl JoinPlan {
         self.join_at(0, db, idx, &mut binding, &mut trail, stats, &mut on_match)
     }
 
-    /// Like [`JoinPlan::execute`], but with some slots pre-bound. Only the
-    /// complete bindings *consistent with the seed* are enumerated — the
-    /// pre-bound slots turn every literal that mentions them into an index
-    /// probe, so the walk touches a fraction of the full join. Used by the
-    /// delta regrounder to enumerate exactly the groundings that
-    /// instantiate a mutated atom.
-    pub(crate) fn execute_seeded<F>(
-        &self,
-        db: &Database,
-        idx: &AtomIndex,
-        seed: &[Option<Sym>],
-        stats: &mut GroundStats,
-        mut on_match: F,
-    ) -> Result<(), GroundingError>
-    where
-        F: FnMut(&[Option<Sym>], &mut GroundStats) -> Result<(), GroundingError>,
-    {
-        debug_assert_eq!(seed.len(), self.num_slots);
-        let mut binding: Vec<Option<Sym>> = seed.to_vec();
-        let mut trail: Vec<u32> = Vec::new();
-        self.join_at(0, db, idx, &mut binding, &mut trail, stats, &mut on_match)
-    }
-
-    /// Unify `ground` against emit literal `lit_idx`'s pattern, returning
-    /// the seed binding (slots bound to the atom's arguments) or `None` if
-    /// the pattern cannot produce this atom (constant or repeated-slot
-    /// mismatch, wrong predicate or arity).
-    pub(crate) fn seed_binding(
-        &self,
-        lit_idx: usize,
-        ground: &crate::atom::GroundAtom,
-    ) -> Option<Vec<Option<Sym>>> {
-        let atom = &self.emit[lit_idx].atom;
-        if atom.pred != ground.pred || atom.terms.len() != ground.args.len() {
-            return None;
-        }
-        let mut seed: Vec<Option<Sym>> = vec![None; self.num_slots];
-        for (t, &sym) in atom.terms.iter().zip(ground.args.iter()) {
-            match *t {
-                SlotTerm::Const(k) => {
-                    if k != sym {
-                        return None;
-                    }
-                }
-                SlotTerm::Slot(s) => match seed[s as usize] {
-                    Some(prev) if prev != sym => return None,
-                    _ => seed[s as usize] = Some(sym),
-                },
-            }
-        }
-        Some(seed)
-    }
-
-    /// Predicates this plan touches (all emit literals: positive and
-    /// negated body, head) — the rule's dependency set for delta
-    /// regrounding. May contain duplicates.
-    pub(crate) fn emit_preds(&self) -> impl Iterator<Item = PredId> + '_ {
-        self.emit.iter().map(|l| l.atom.pred)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn join_at<F>(
         &self,
@@ -353,11 +293,6 @@ impl JoinPlan {
     /// Number of variable slots.
     pub fn num_slots(&self) -> usize {
         self.num_slots
-    }
-
-    /// Number of emit literals (body then head, original order).
-    pub(crate) fn num_emit_literals(&self) -> usize {
-        self.emit.len()
     }
 
     /// The join order as positions into the rule's positive body literals —

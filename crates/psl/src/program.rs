@@ -8,11 +8,10 @@
 //! [`Program::add_raw_potential`] cover that: observed atoms in the linear
 //! combination fold into the constant, target atoms become variables.
 
-use crate::admm::{AdmmConfig, AdmmSolution, AdmmSolver, DualState, WarmStart};
-use crate::arith::{ground_arith_rule_naive, ground_arith_rule_recorded, ArithRule};
+use crate::admm::{AdmmConfig, AdmmSolution, AdmmSolver};
+use crate::arith::{ground_arith_rule, ground_arith_rule_naive, ArithRule};
 use crate::atom::GroundAtom;
 use crate::database::{Database, Resolved};
-use crate::delta::{ArithSegment, DualReuse, RawSlot, RuleSegment, SpliceSupport, NO_PRIOR};
 use crate::grounding::{
     ground_rule, reference::ground_rule_naive, GroundSink, GroundStats, GroundingError, VarRegistry,
 };
@@ -51,31 +50,19 @@ impl AtomLin {
     }
 }
 
-pub(crate) enum RawKind {
+enum RawKind {
     Potential { weight: f64, squared: bool },
     Constraint { kind: ConstraintKind },
 }
 
-pub(crate) struct RawTerm {
+struct RawTerm {
     lin: AtomLin,
     kind: RawKind,
     origin: String,
 }
 
-impl RawTerm {
-    /// The ground atoms this raw term references.
-    pub(crate) fn atoms(&self) -> impl Iterator<Item = &GroundAtom> {
-        self.lin.terms.iter().map(|(a, _)| a)
-    }
-
-    /// Diagnostic origin label.
-    pub(crate) fn origin(&self) -> &str {
-        &self.origin
-    }
-}
-
 /// What grounding one raw term yields (see [`Program::raw_artifact`]).
-pub(crate) enum RawArtifact {
+enum RawArtifact {
     /// A weighted potential over at least one free variable.
     Potential(GroundPotential),
     /// A hard constraint.
@@ -90,8 +77,8 @@ pub struct Program {
     pub vocab: Vocabulary,
     /// Observations and targets.
     pub db: Database,
-    pub(crate) rules: Vec<LogicalRule>,
-    pub(crate) arith_rules: Vec<ArithRule>,
+    rules: Vec<LogicalRule>,
+    arith_rules: Vec<ArithRule>,
     raw: Vec<RawTerm>,
 }
 
@@ -162,7 +149,6 @@ impl Program {
         let mut registry = VarRegistry::new();
         let mut sink = GroundSink::default();
         let mut stats: FxHashMap<String, GroundStats> = FxHashMap::default();
-        let mut segments: Vec<RuleSegment> = Vec::with_capacity(self.rules.len());
         let mut constant_loss = 0.0;
         for (rule, result) in self.rules.iter().zip(per_rule) {
             let rg = result?;
@@ -175,12 +161,6 @@ impl Program {
                 .iter()
                 .map(|a| registry.intern(a))
                 .collect();
-            segments.push(RuleSegment {
-                pots: rg.sink.potentials.len(),
-                cons: rg.sink.constraints.len(),
-                slots: rg.sink.slots,
-                stats: rg.stats.clone(),
-            });
             for mut p in rg.sink.potentials {
                 remap_expr(&mut p.expr, &map);
                 sink.potentials.push(p);
@@ -195,27 +175,14 @@ impl Program {
                 .or_default()
                 .absorb(&rg.stats);
         }
-        self.finish_ground(registry, sink, stats, constant_loss, false, Some(segments))
+        self.finish_ground(registry, sink, stats, constant_loss, false)
     }
 
-    /// Ground every logical rule into a local registry/sink, possibly in
-    /// parallel. Results are positionally aligned with `self.rules`.
+    /// Ground every logical rule into a rule-local registry/sink, sharded
+    /// across `threads` workers. Results are positionally aligned with
+    /// `self.rules`.
     fn ground_rules_locally(&self, threads: usize) -> Vec<Result<RuleGrounding, GroundingError>> {
-        let all: Vec<usize> = (0..self.rules.len()).collect();
-        self.ground_rule_set_locally(&all, threads)
-    }
-
-    /// Ground a subset of the logical rules (given as indices into
-    /// `self.rules`) into rule-local registries/sinks, sharded across
-    /// `threads` workers. Results are positionally aligned with `indices`.
-    /// Shared by the full grounding and the delta regrounder's pool-delta
-    /// path, which only re-grounds the dirty rules.
-    pub(crate) fn ground_rule_set_locally(
-        &self,
-        indices: &[usize],
-        threads: usize,
-    ) -> Vec<Result<RuleGrounding, GroundingError>> {
-        let n = indices.len();
+        let n = self.rules.len();
         let workers = threads.min(n).max(1);
         // Per-rule spans parent under the caller's open `ground` span
         // explicitly, so rules grounded on worker threads attribute to
@@ -232,10 +199,7 @@ impl Program {
             })
         };
         if workers == 1 || n <= 1 {
-            return indices
-                .iter()
-                .map(|&i| ground_one(&self.rules[i]))
-                .collect();
+            return self.rules.iter().map(ground_one).collect();
         }
         // Build the shared index before fanning out so workers only take
         // read locks.
@@ -257,7 +221,7 @@ impl Program {
                             if i >= n {
                                 break;
                             }
-                            out.push((i, ground_one(&self.rules[indices[i]])));
+                            out.push((i, ground_one(&self.rules[i])));
                         }
                         out
                     })
@@ -289,13 +253,13 @@ impl Program {
             constant_loss += s.constant_loss;
             stats.entry(rule.name.clone()).or_default().absorb(&s);
         }
-        self.finish_ground(registry, sink, stats, constant_loss, true, None)
+        self.finish_ground(registry, sink, stats, constant_loss, true)
     }
 
     /// Validate every logical-rule atom against the vocabulary (arity
     /// agreement) before grounding starts, so no engine can abort
     /// mid-enumeration over a malformed rule.
-    pub(crate) fn validate_rule_arities(&self) -> Result<(), GroundingError> {
+    fn validate_rule_arities(&self) -> Result<(), GroundingError> {
         for rule in &self.rules {
             for lit in rule.body.iter().chain(rule.head.iter()) {
                 if lit.atom.pred.index() < self.vocab.len()
@@ -313,10 +277,7 @@ impl Program {
     /// Shared tail of all grounding paths: arithmetic rules, raw terms,
     /// assembly of the [`GroundProgram`]. `naive_arith` selects the
     /// reference (scan-only) arithmetic grounder for
-    /// [`Program::ground_naive`]; `rule_segments` carries the per-rule
-    /// splice segmentation of the plan-compiled paths (`None` disables
-    /// splice support on the result). The plan path additionally records
-    /// each arithmetic rule's per-free-binding splice table.
+    /// [`Program::ground_naive`].
     fn finish_ground(
         &self,
         mut registry: VarRegistry,
@@ -324,33 +285,22 @@ impl Program {
         mut stats: FxHashMap<String, GroundStats>,
         mut constant_loss: f64,
         naive_arith: bool,
-        rule_segments: Option<Vec<RuleSegment>>,
     ) -> Result<GroundProgram, GroundingError> {
-        let mut arith_segments: Vec<ArithSegment> = Vec::with_capacity(self.arith_rules.len());
         for rule in &self.arith_rules {
             let _span = cms_obs::span(format!("ground/arith/{}", rule.name));
             let start = std::time::Instant::now();
-            let p0 = sink.potentials.len();
-            let c0 = sink.constraints.len();
-            let (astats, table) = if naive_arith {
-                let s = ground_arith_rule_naive(
-                    rule,
-                    &self.db,
-                    &mut registry,
-                    &mut sink.potentials,
-                    &mut sink.constraints,
-                )?;
-                (s, None)
+            let ground_arith = if naive_arith {
+                ground_arith_rule_naive
             } else {
-                let (s, t) = ground_arith_rule_recorded(
-                    rule,
-                    &self.db,
-                    &mut registry,
-                    &mut sink.potentials,
-                    &mut sink.constraints,
-                )?;
-                (s, Some(t))
+                ground_arith_rule
             };
+            let astats = ground_arith(
+                rule,
+                &self.db,
+                &mut registry,
+                &mut sink.potentials,
+                &mut sink.constraints,
+            )?;
             let mut rstats = GroundStats {
                 substitutions: astats.groundings,
                 potentials: astats.potentials,
@@ -359,40 +309,14 @@ impl Program {
             };
             rstats.wall = start.elapsed();
             stats.entry(rule.name.clone()).or_default().absorb(&rstats);
-            if let Some(table) = table {
-                arith_segments.push(ArithSegment {
-                    pots: sink.potentials.len() - p0,
-                    cons: sink.constraints.len() - c0,
-                    stats: rstats,
-                    table,
-                });
-            }
         }
-        let mut raw_slots: Vec<RawSlot> = Vec::with_capacity(self.raw.len());
         for raw in &self.raw {
             match self.raw_artifact(raw, &mut registry) {
-                RawArtifact::Potential(p) => {
-                    sink.potentials.push(p);
-                    raw_slots.push(RawSlot::Potential);
-                }
-                RawArtifact::Constraint(c) => {
-                    sink.constraints.push(c);
-                    raw_slots.push(RawSlot::Constraint);
-                }
-                RawArtifact::ConstLoss(d) => {
-                    constant_loss += d;
-                    raw_slots.push(RawSlot::ConstLoss(d));
-                }
+                RawArtifact::Potential(p) => sink.potentials.push(p),
+                RawArtifact::Constraint(c) => sink.constraints.push(c),
+                RawArtifact::ConstLoss(d) => constant_loss += d,
             }
         }
-        // Splice support is all-or-nothing: a segment list shorter than
-        // the rule list would make `reground` silently mis-splice the
-        // tail, so the pairing of `rule_segments` with the recording arith
-        // grounder is enforced here rather than assumed.
-        assert!(
-            rule_segments.is_none() || arith_segments.len() == self.arith_rules.len(),
-            "splice support requires one recorded segment per arithmetic rule"
-        );
         if cms_obs::enabled(cms_obs::ObsLevel::Stats) {
             let mut total = GroundStats::default();
             for s in stats.values() {
@@ -424,20 +348,12 @@ impl Program {
             constraints: sink.constraints,
             constant_loss,
             rule_stats: stats,
-            splice: rule_segments.map(|rules| SpliceSupport {
-                rules,
-                arith: arith_segments,
-                raw: raw_slots,
-            }),
-            dual_reuse: None,
-            stamp: Some((self.db.id(), self.db.generation())),
         })
     }
 
     /// Ground one raw term against the current database: observed atoms
-    /// fold into the constant, target atoms become variables. Shared by
-    /// [`Program::ground`] and the delta regrounder.
-    pub(crate) fn raw_artifact(&self, raw: &RawTerm, registry: &mut VarRegistry) -> RawArtifact {
+    /// fold into the constant, target atoms become variables.
+    fn raw_artifact(&self, raw: &RawTerm, registry: &mut VarRegistry) -> RawArtifact {
         let mut expr = LinExpr::constant(raw.lin.constant);
         for (atom, coef) in &raw.lin.terms {
             match self.db.resolve(atom) {
@@ -472,33 +388,18 @@ impl Program {
             }),
         }
     }
-
-    /// The raw terms, in declaration order (for the delta regrounder).
-    pub(crate) fn raw_terms(&self) -> &[RawTerm] {
-        &self.raw
-    }
-
-    /// The arithmetic rules, in declaration order. Exposed so benches and
-    /// diagnostics can re-ground a single rule in isolation (e.g. to
-    /// compare a wholesale arithmetic re-ground against the delta
-    /// regrounder's per-binding splice).
-    pub fn arith_rules(&self) -> &[ArithRule] {
-        &self.arith_rules
-    }
 }
 
-/// One rule's grounding into rule-local structures, pre-merge. Shared
-/// with the delta regrounder, whose pool-delta path merges parallel
-/// per-rule re-grounds the same way [`Program::ground_with`] does.
-pub(crate) struct RuleGrounding {
-    pub(crate) registry: VarRegistry,
-    pub(crate) sink: GroundSink,
-    pub(crate) stats: GroundStats,
+/// One rule's grounding into rule-local structures, pre-merge.
+struct RuleGrounding {
+    registry: VarRegistry,
+    sink: GroundSink,
+    stats: GroundStats,
 }
 
 /// Rewrite a ground expression's local variable ids through `map` and
 /// restore the sorted-normalized term order.
-pub(crate) fn remap_expr(expr: &mut LinExpr, map: &[usize]) {
+fn remap_expr(expr: &mut LinExpr, map: &[usize]) {
     for t in &mut expr.terms {
         t.0 = map[t.0];
     }
@@ -508,7 +409,7 @@ pub(crate) fn remap_expr(expr: &mut LinExpr, map: &[usize]) {
 /// A fully grounded program, ready for MAP inference.
 #[derive(Clone, Debug, Default)]
 pub struct GroundProgram {
-    pub(crate) registry: VarRegistry,
+    registry: VarRegistry,
     /// Ground weighted potentials.
     pub potentials: Vec<GroundPotential>,
     /// Ground hard constraints.
@@ -517,20 +418,6 @@ pub struct GroundProgram {
     pub constant_loss: f64,
     /// Per-rule grounding statistics keyed by rule name.
     pub rule_stats: FxHashMap<String, GroundStats>,
-    /// Per-source segmentation for delta regrounding (`None` when produced
-    /// by the naive reference engine — [`crate::Program::reground`] then
-    /// falls back to a full grounding).
-    pub(crate) splice: Option<SpliceSupport>,
-    /// Term-identity map against the immediately prior ground program,
-    /// recorded by [`crate::Program::reground`] (`None` for a fresh
-    /// grounding). Consumed by [`GroundProgram::carry_duals`].
-    pub(crate) dual_reuse: Option<DualReuse>,
-    /// `(database id, database generation)` at the moment this program was
-    /// grounded. The reground guard checks an incoming delta against this
-    /// stamp before splicing (see [`crate::RegroundError::StateMismatch`]).
-    /// `None` only for hand-assembled programs (e.g. `Default`), which the
-    /// guard treats as unstamped and skips.
-    pub(crate) stamp: Option<(u64, u64)>,
 }
 
 impl GroundProgram {
@@ -603,88 +490,6 @@ impl GroundProgram {
             admm: sol,
             constant_loss: self.constant_loss,
         }
-    }
-
-    /// Run MAP inference **warm-started** from a previous consensus vector
-    /// (typically [`AdmmSolution::values`] of the solve before a delta
-    /// reground — variable indices are stable across regrounds, so the
-    /// vector indexes this program directly). Missing trailing variables
-    /// start at the config's initial value; values are clamped to `[0,1]`.
-    pub fn solve_warm(&self, config: &AdmmConfig, warm: &[f64]) -> MapSolution {
-        let solver = AdmmSolver::new(&self.potentials, &self.constraints, self.num_vars());
-        let sol = solver.solve_from(config, Some(warm));
-        MapSolution {
-            admm: sol,
-            constant_loss: self.constant_loss,
-        }
-    }
-
-    /// Run MAP inference warm-started from a previous consensus vector
-    /// *and* (optionally) a previous [`DualState`], returning the solution
-    /// together with this solve's dual state for the next resume.
-    ///
-    /// `duals` must be aligned with **this** program's terms: either the
-    /// state returned by a previous solve of the same ground program, or a
-    /// prior program's state mapped through [`GroundProgram::carry_duals`]
-    /// after a delta reground. Terms with a missing entry start at zero,
-    /// so `None` degrades to the consensus-only warm start.
-    pub fn solve_warm_dual(
-        &self,
-        config: &AdmmConfig,
-        warm: &[f64],
-        duals: Option<&DualState>,
-    ) -> (MapSolution, DualState) {
-        let solver = AdmmSolver::new(&self.potentials, &self.constraints, self.num_vars());
-        let (sol, duals_out) = solver.solve_warm(
-            config,
-            WarmStart {
-                values: Some(warm),
-                duals,
-            },
-        );
-        (
-            MapSolution {
-                admm: sol,
-                constant_loss: self.constant_loss,
-            },
-            duals_out,
-        )
-    }
-
-    /// Map a [`DualState`] recorded against the program this one was
-    /// regrounded **from** onto this program's terms: spliced-unchanged
-    /// terms keep their scaled duals (term identity comes from the delta
-    /// subsystem's reuse map), recomputed terms start cold. Returns `None`
-    /// when this program carries no reuse map (fresh grounding, or the
-    /// reground fell back to one) — pass `None` to the solver then.
-    pub fn carry_duals(&self, prior: &DualState) -> Option<DualState> {
-        let reuse = self.dual_reuse.as_ref()?;
-        let map = |src: &[u32], pool: &[Vec<f64>]| -> Vec<Vec<f64>> {
-            src.iter()
-                .map(|&i| {
-                    if i == NO_PRIOR {
-                        Vec::new()
-                    } else {
-                        pool.get(i as usize).cloned().unwrap_or_default()
-                    }
-                })
-                .collect()
-        };
-        let mut out = DualState {
-            potentials: map(&reuse.pots, prior.potential_duals()),
-            constraints: map(&reuse.cons, prior.constraint_duals()),
-        };
-        if crate::fault::take(crate::fault::Fault::PoisonDuals) {
-            if let Some(v) = out
-                .potentials
-                .iter_mut()
-                .chain(out.constraints.iter_mut())
-                .find(|v| !v.is_empty())
-            {
-                v[0] = f64::NAN;
-            }
-        }
-        Some(out)
     }
 
     /// Evaluate the soft objective (weighted potentials + constant loss)

@@ -3,7 +3,7 @@
 
 use cms_psl::{
     ground_rule, AdmmConfig, AdmmSolver, ConstraintKind, Database, GroundAtom, GroundConstraint,
-    GroundPotential, GroundSink, LinExpr, RuleBuilder, VarRegistry, Vocabulary, WarmStart,
+    GroundPotential, GroundSink, LinExpr, RuleBuilder, VarRegistry, Vocabulary,
 };
 use proptest::prelude::*;
 
@@ -160,14 +160,9 @@ fn arb_tiny_block() -> impl Strategy<Value = (Vec<GroundPotential>, Vec<GroundCo
 
 /// Interleave `k` term lists round-robin, relabelling list `b`'s local
 /// variable `i` to `i·k + b` so the lists' variable ids interleave too.
-/// Returns the merged list and, per list, each term's merged index.
-fn interleave<T: Clone>(
-    blocks: &[&[T]],
-    expr: impl Fn(&mut T) -> &mut LinExpr,
-) -> (Vec<T>, Vec<Vec<usize>>) {
+fn interleave<T: Clone>(blocks: &[&[T]], expr: impl Fn(&mut T) -> &mut LinExpr) -> Vec<T> {
     let k = blocks.len();
     let mut merged = Vec::new();
-    let mut index: Vec<Vec<usize>> = vec![Vec::new(); k];
     let longest = blocks.iter().map(|b| b.len()).max().unwrap_or(0);
     for j in 0..longest {
         for (b, block) in blocks.iter().enumerate() {
@@ -176,23 +171,23 @@ fn interleave<T: Clone>(
                 for (v, _) in &mut expr(&mut term).terms {
                     *v = *v * k + b;
                 }
-                index[b].push(merged.len());
                 merged.push(term);
             }
         }
     }
-    (merged, index)
+    merged
 }
 
 type SubProgram = (Vec<GroundPotential>, Vec<GroundConstraint>);
 
 /// Interleave sub-programs (see [`interleave`]) into one program.
-fn interleave_programs(parts: &[&SubProgram]) -> (SubProgram, Vec<Vec<usize>>, Vec<Vec<usize>>) {
+fn interleave_programs(parts: &[&SubProgram]) -> SubProgram {
     let pots: Vec<&[GroundPotential]> = parts.iter().map(|b| &b.0[..]).collect();
     let cons: Vec<&[GroundConstraint]> = parts.iter().map(|b| &b.1[..]).collect();
-    let (potentials, pot_index) = interleave(&pots, |p| &mut p.expr);
-    let (constraints, con_index) = interleave(&cons, |c| &mut c.expr);
-    ((potentials, constraints), pot_index, con_index)
+    (
+        interleave(&pots, |p| &mut p.expr),
+        interleave(&cons, |c| &mut c.expr),
+    )
 }
 
 proptest! {
@@ -200,7 +195,7 @@ proptest! {
 
     /// Solving a program made of disjoint sub-programs (interleaved
     /// variable ids and term order) gives every block-sized sub-program
-    /// exactly the value and dual bits it gets when solved alone, and the
+    /// exactly the value bits it gets when solved alone, and the
     /// tiny ones exactly the bits of the program made of the tiny ones
     /// alone (they share one block); the merged counters follow the merge
     /// rules, and the split solve is bit-identical at every thread count
@@ -212,7 +207,7 @@ proptest! {
     ) {
         let parts: Vec<&SubProgram> = blocks.iter().chain(&tiny).collect();
         let k = parts.len();
-        let ((potentials, constraints), pot_index, con_index) = interleave_programs(&parts);
+        let (potentials, constraints) = interleave_programs(&parts);
         let cfg = AdmmConfig {
             threads: 1,
             parallel_threshold: 0, // engage the parallel path at any size
@@ -221,43 +216,34 @@ proptest! {
             ..AdmmConfig::default()
         };
         let solver = AdmmSolver::new(&potentials, &constraints, BLOCK_VARS * k);
-        let (whole, duals) = solver.solve_warm(&cfg, WarmStart::default());
+        let whole = solver.solve(&cfg);
 
         // Each block-sized part alone, then the tiny parts as one program:
-        // (values, duals, merged-program ids of its variables and terms).
+        // (solution, merged-program ids of its variables).
         let tiny_parts: Vec<&SubProgram> = tiny.iter().collect();
-        let ((tiny_pots, tiny_cons), tiny_pot_index, tiny_con_index) =
-            interleave_programs(&tiny_parts);
+        let (tiny_pots, tiny_cons) = interleave_programs(&tiny_parts);
         let mut expected = Vec::new();
         for (b, (bp, bc)) in blocks.iter().enumerate() {
-            let alone = AdmmSolver::new(bp, bc, BLOCK_VARS).solve_warm(&cfg, WarmStart::default());
+            let alone = AdmmSolver::new(bp, bc, BLOCK_VARS).solve(&cfg);
             let vars: Vec<usize> = (0..BLOCK_VARS).map(|i| i * k + b).collect();
-            expected.push((alone, vars, pot_index[b].clone(), con_index[b].clone()));
+            expected.push((alone, vars));
         }
         if !tiny.is_empty() {
             let t = tiny.len();
-            let alone = AdmmSolver::new(&tiny_pots, &tiny_cons, BLOCK_VARS * t)
-                .solve_warm(&cfg, WarmStart::default());
+            let alone = AdmmSolver::new(&tiny_pots, &tiny_cons, BLOCK_VARS * t).solve(&cfg);
             // Tiny part j's variable i sits at i·t + j alone and at
             // i·k + (blocks + j) in the whole program.
             let mut vars = vec![usize::MAX; BLOCK_VARS * t];
-            let (mut pots, mut cons) = (vec![0; tiny_pots.len()], vec![0; tiny_cons.len()]);
             for j in 0..t {
                 for i in 0..BLOCK_VARS {
                     vars[i * t + j] = i * k + blocks.len() + j;
                 }
-                for (a, &m) in tiny_pot_index[j].iter().zip(&pot_index[blocks.len() + j]) {
-                    pots[*a] = m;
-                }
-                for (a, &m) in tiny_con_index[j].iter().zip(&con_index[blocks.len() + j]) {
-                    cons[*a] = m;
-                }
             }
-            expected.push((alone, vars, pots, cons));
+            expected.push((alone, vars));
         }
 
         let (mut iterations, mut components, mut updates, mut converged) = (0, 0, 0, true);
-        for ((alone, alone_duals), vars, pots, cons) in &expected {
+        for (alone, vars) in &expected {
             iterations = iterations.max(alone.iterations);
             components += alone.components;
             updates += alone.term_updates;
@@ -265,14 +251,6 @@ proptest! {
             for (i, &v) in vars.iter().enumerate() {
                 prop_assert_eq!(whole.values[v].to_bits(), alone.values[i].to_bits(),
                     "variable {}", v);
-            }
-            for (j, &m) in pots.iter().enumerate() {
-                prop_assert_eq!(&duals.potential_duals()[m], &alone_duals.potential_duals()[j],
-                    "potential {}", m);
-            }
-            for (j, &m) in cons.iter().enumerate() {
-                prop_assert_eq!(&duals.constraint_duals()[m], &alone_duals.constraint_duals()[j],
-                    "constraint {}", m);
             }
         }
         prop_assert_eq!(whole.iterations, iterations);
@@ -554,73 +532,6 @@ mod grounding_equivalence {
         }
     }
 
-    // -----------------------------------------------------------------
-    // Delta regrounding vs full grounding over random mutation sequences.
-    // -----------------------------------------------------------------
-
-    /// One random database mutation (see `apply_op`): kind, predicate
-    /// coin, two symbol picks, one value pick.
-    type MutOp = (u8, bool, u32, u32, u32);
-
-    fn arb_ops() -> impl Strategy<Value = Vec<MutOp>> {
-        prop::collection::vec((0u8..5, any::<bool>(), 0u32..6, 0u32..6, 0u32..=10), 1..16)
-    }
-
-    /// Apply one mutation to the program's database: (re-)observations of
-    /// the closed preds 0/1 (adds, value changes, and exact no-ops), new
-    /// targets on the open preds 2/3, and retractions of pooled atoms.
-    fn apply_op(program: &mut cms_psl::Program, op: MutOp) {
-        let (kind, wide, a, b, v) = op;
-        let value = f64::from(v) / 10.0;
-        match kind {
-            0 => {
-                // Observe (new, changed, or unchanged) on pred 0 or 1.
-                let atom = if wide {
-                    GroundAtom::from_strs(PredId(1), &[&sym_pool(a), &sym_pool(b)])
-                } else {
-                    GroundAtom::from_strs(PredId(0), &[&sym_pool(a)])
-                };
-                program.db.observe(atom, value);
-            }
-            1 => {
-                // Re-observe an existing pooled atom (forces Changed/no-op
-                // entries on atoms the prior grounding actually used).
-                let pred = PredId(u32::from(wide));
-                let pool = program.db.atoms_of(pred).to_vec();
-                if !pool.is_empty() {
-                    let atom = pool[a as usize % pool.len()].clone();
-                    program.db.observe(atom, value);
-                }
-            }
-            2 => {
-                let atom = if wide {
-                    GroundAtom::from_strs(PredId(3), &[&sym_pool(a), &sym_pool(b)])
-                } else {
-                    GroundAtom::from_strs(PredId(2), &[&sym_pool(a)])
-                };
-                program.db.target(atom);
-            }
-            3 => {
-                // Retract a pooled observed atom, if any.
-                let pred = PredId(u32::from(wide));
-                let pool = program.db.atoms_of(pred).to_vec();
-                if !pool.is_empty() {
-                    let atom = pool[a as usize % pool.len()].clone();
-                    program.db.retract(&atom);
-                }
-            }
-            _ => {
-                // Retract a pooled target atom, if any.
-                let pred = PredId(2 + u32::from(wide));
-                let pool = program.db.atoms_of(pred).to_vec();
-                if !pool.is_empty() {
-                    let atom = pool[a as usize % pool.len()].clone();
-                    program.db.retract(&atom);
-                }
-            }
-        }
-    }
-
     fn vocab_for_arities() -> cms_psl::Vocabulary {
         let mut vocab = Vocabulary::new();
         vocab.closed("p0", ARITIES[0]);
@@ -639,9 +550,8 @@ mod grounding_equivalence {
 
         /// The sharded, multi-threaded consensus step is **bit-identical**
         /// to the single-threaded solve on random ground programs: same
-        /// iterates, same iteration count, same objective bits — for cold
-        /// solves and for warm solves resumed from consensus + duals. The
-        /// shard structure depends only on the problem (here forced to be
+        /// iterates, same iteration count, same objective bits. The shard
+        /// structure depends only on the problem (here forced to be
         /// several shards via a tiny `shard_slots`), never on `threads`.
         #[test]
         fn sharded_solve_is_bit_identical_across_thread_counts(
@@ -661,9 +571,7 @@ mod grounding_equivalence {
                 max_iterations: 500,
                 ..AdmmConfig::default()
             };
-            let (base, base_duals) = ground.solve_warm_dual(&cfg, &[], None);
-            let (base_resumed, _) =
-                ground.solve_warm_dual(&cfg, &base.admm.values, Some(&base_duals));
+            let base = ground.solve(&cfg);
             for threads in [2usize, 4, 7] {
                 let tcfg = AdmmConfig { threads, ..cfg.clone() };
                 let sol = ground.solve(&tcfg);
@@ -681,389 +589,7 @@ mod grounding_equivalence {
                     prop_assert_eq!(a.to_bits(), b.to_bits(),
                         "iterate bits diverged at threads={} var={}", threads, v);
                 }
-                // Warm resume (consensus + duals) must be identical too.
-                let (resumed, _) =
-                    ground.solve_warm_dual(&tcfg, &base.admm.values, Some(&base_duals));
-                prop_assert_eq!(resumed.admm.iterations, base_resumed.admm.iterations,
-                    "warm iteration count diverged at threads={}", threads);
-                for (v, (a, b)) in base_resumed
-                    .admm
-                    .values
-                    .iter()
-                    .zip(resumed.admm.values.iter())
-                    .enumerate()
-                {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(),
-                        "warm iterate bits diverged at threads={} var={}", threads, v);
-                }
             }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// `reground(delta)` after any mutation sequence describes exactly
-        /// the HL-MRF a fresh `ground()` builds — chained: each step
-        /// regrounds the *previous* increment, never a fresh baseline.
-        #[test]
-        fn reground_equals_full_ground_over_mutation_sequences(
-            db in arb_db(),
-            rules in prop::collection::vec(arb_rule(), 1..4),
-            ops in arb_ops(),
-        ) {
-            let mut program = cms_psl::Program::new(vocab_for_arities());
-            program.db = db;
-            for rule in rules {
-                program.add_rule(rule);
-            }
-            let mut prior = program.ground().unwrap();
-            let _ = program.db.take_delta();
-            for op in ops {
-                apply_op(&mut program, op);
-                let delta = program.db.take_delta();
-                prior = program.reground_owned(prior, &delta).unwrap();
-                let fresh = program.ground().unwrap();
-                prop_assert_eq!(prior.canonical_terms(), fresh.canonical_terms());
-                prop_assert!((prior.constant_loss - fresh.constant_loss).abs() < 1e-9,
-                    "constant loss {} vs {}", prior.constant_loss, fresh.constant_loss);
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// A whole mutation batch drained as ONE coalesced delta (adds,
-        /// changes, retractions — including injected cancelling pairs that
-        /// must net out before the regrounder sees them) regrounds to
-        /// exactly the HL-MRF a fresh `ground()` builds, chained across
-        /// batches over programs with logical *and* arithmetic rules.
-        #[test]
-        fn batched_reground_equals_full_ground_over_mutation_batches(
-            db in arb_db(),
-            rules in prop::collection::vec(arb_rule(), 1..4),
-            arith in arb_arith_rule(),
-            ops in arb_ops(),
-            batch in 2usize..6,
-            cancel in any::<bool>(),
-        ) {
-            let mut program = cms_psl::Program::new(vocab_for_arities());
-            program.db = db;
-            for rule in rules {
-                program.add_rule(rule);
-            }
-            program.add_arith_rule(arith);
-            let mut prior = program.ground().unwrap();
-            let _ = program.db.take_delta();
-            for chunk in ops.chunks(batch) {
-                for &op in chunk {
-                    apply_op(&mut program, op);
-                }
-                if cancel {
-                    // Fold an a→b→a round-trip into the batch: two raw
-                    // entries with zero net effect.
-                    let pool = program.db.atoms_of(PredId(0)).to_vec();
-                    if let Some(atom) = pool.first() {
-                        let old = program.db.observed_value(atom).unwrap();
-                        program.db.observe(atom.clone(), old + 0.05);
-                        program.db.observe(atom.clone(), old);
-                    }
-                }
-                let delta = program.db.take_delta();
-                prop_assert!(delta.len() <= delta.raw_entries(),
-                    "coalescing can only shrink: {} net vs {} raw",
-                    delta.len(), delta.raw_entries());
-                prior = program.reground_owned(prior, &delta).unwrap();
-                let fresh = program.ground().unwrap();
-                prop_assert_eq!(prior.canonical_terms(), fresh.canonical_terms());
-                prop_assert!((prior.constant_loss - fresh.constant_loss).abs() < 1e-9,
-                    "constant loss {} vs {}", prior.constant_loss, fresh.constant_loss);
-            }
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Arithmetic splice tables: random arith rules + mutation sequences.
-    // -----------------------------------------------------------------
-
-    /// A random arithmetic term: a handful of closed-predicate atoms plus
-    /// at most one open-predicate atom, so every product stays linear in
-    /// the MAP variables regardless of the database.
-    fn arb_arith_term() -> impl Strategy<Value = cms_psl::ArithTerm> {
-        use cms_psl::ArithTerm;
-        let closed_atom = (0u32..2, prop::collection::vec((any::<bool>(), 0u32..4), 2));
-        let open_atom = (2u32..4, prop::collection::vec((any::<bool>(), 0u32..4), 2));
-        (
-            -20i32..=20,
-            prop::collection::vec(closed_atom, 0..=2),
-            prop::option::of(open_atom),
-        )
-            .prop_map(|(coef, mut closed, open)| {
-                if closed.is_empty() && open.is_none() {
-                    // A term needs at least one atom; fall back to p0(s0).
-                    closed.push((0, vec![(false, 0), (false, 0)]));
-                }
-                let var_name = |i: u32| format!("V{}", i % 3);
-                let atom = |(p, picks): (u32, Vec<(bool, u32)>)| {
-                    let args: Vec<RTerm> = picks
-                        .into_iter()
-                        .take(ARITIES[p as usize])
-                        .map(|(is_var, x)| {
-                            if is_var {
-                                RTerm::Var(var_name(x))
-                            } else {
-                                cms_psl::rconst(&sym_pool(x % 6))
-                            }
-                        })
-                        .collect();
-                    RAtom {
-                        pred: PredId(p),
-                        args,
-                    }
-                };
-                let atoms: Vec<RAtom> =
-                    closed.into_iter().map(atom).chain(open.map(atom)).collect();
-                ArithTerm {
-                    coef: f64::from(coef) / 10.0,
-                    atoms,
-                }
-            })
-    }
-
-    /// A random, *valid* arithmetic rule: the summation variable (if any)
-    /// is picked from the variables the terms actually use, so the rule
-    /// passes the builder's validation by construction.
-    fn arb_arith_rule() -> impl Strategy<Value = cms_psl::ArithRule> {
-        use cms_psl::{ArithRule, Comparison};
-        (
-            prop::collection::vec(arb_arith_term(), 1..=2),
-            -10i32..=10,                 // constant ×0.1
-            0u32..3,                     // comparison
-            prop::option::of(0u32..=8),  // weight ×0.5
-            any::<bool>(),               // squared
-            prop::option::of(0usize..4), // sum-var pick
-        )
-            .prop_map(|(terms, constant, cmp, weight, squared, sum_pick)| {
-                let used: Vec<String> = {
-                    let mut v: Vec<String> = Vec::new();
-                    for t in terms.iter().flat_map(|t| &t.atoms) {
-                        for a in &t.args {
-                            if let RTerm::Var(name) = a {
-                                if !v.contains(name) {
-                                    v.push(name.clone());
-                                }
-                            }
-                        }
-                    }
-                    v
-                };
-                let sum_vars = match sum_pick {
-                    Some(i) if !used.is_empty() => vec![used[i % used.len()].clone()],
-                    _ => Vec::new(),
-                };
-                ArithRule {
-                    name: "rand-arith".into(),
-                    terms,
-                    constant: f64::from(constant) / 10.0,
-                    comparison: match cmp {
-                        0 => Comparison::LeqZero,
-                        1 => Comparison::EqZero,
-                        _ => Comparison::GeqZero,
-                    },
-                    weight: weight.map(|w| f64::from(w) * 0.5),
-                    squared,
-                    sum_vars,
-                }
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The arithmetic splice tables: regrounding through any mutation
-        /// sequence over programs with random arithmetic rules (value
-        /// re-weights re-fold single bindings, pool mutations diff the
-        /// binding set) stays equivalent to a fresh grounding, chained
-        /// across the whole sequence.
-        #[test]
-        fn arith_reground_equals_full_ground_over_mutation_sequences(
-            db in arb_db(),
-            rule in arb_rule(),
-            arith in prop::collection::vec(arb_arith_rule(), 1..=2),
-            ops in arb_ops(),
-        ) {
-            let mut program = cms_psl::Program::new(vocab_for_arities());
-            program.db = db;
-            program.add_rule(rule);
-            for r in arith {
-                program.add_arith_rule(r);
-            }
-            let mut prior = program.ground().unwrap();
-            let _ = program.db.take_delta();
-            let mut spliced_total = 0usize;
-            for op in ops {
-                apply_op(&mut program, op);
-                let delta = program.db.take_delta();
-                prior = program.reground_owned(prior, &delta).unwrap();
-                let fresh = program.ground().unwrap();
-                prop_assert_eq!(prior.canonical_terms(), fresh.canonical_terms());
-                prop_assert!((prior.constant_loss - fresh.constant_loss).abs() < 1e-9,
-                    "constant loss {} vs {}", prior.constant_loss, fresh.constant_loss);
-                spliced_total += prior.total_stats().arith_bindings_spliced;
-            }
-            // Not every random rule grounds bindings, but the counter must
-            // never be touched by full grounds.
-            prop_assert_eq!(program.ground().unwrap().total_stats().arith_bindings_spliced, 0);
-            let _ = spliced_total;
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Delta-guard invariants: stale, foreign, and double-drained deltas
-    // are rejected with `StateMismatch`; the documented fallback (a
-    // fresh ground) matches a from-scratch grounding and re-arms the
-    // incremental path.
-    // -----------------------------------------------------------------
-
-    use cms_psl::RegroundError;
-
-    fn guard_program(db: Database, rules: &[LogicalRule]) -> cms_psl::Program {
-        let mut program = cms_psl::Program::new(vocab_for_arities());
-        program.db = db;
-        for rule in rules {
-            program.add_rule(rule.clone());
-        }
-        program
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Applying the same delta twice is a state mismatch the second
-        /// time: the first splice advanced the prior's stamp past the
-        /// delta's base generation.
-        #[test]
-        fn double_drained_delta_is_rejected(
-            db in arb_db(),
-            rules in prop::collection::vec(arb_rule(), 1..4),
-            ops in arb_ops(),
-        ) {
-            let mut program = guard_program(db, &rules);
-            let prior = program.ground().unwrap();
-            let _ = program.db.take_delta();
-            for op in ops {
-                apply_op(&mut program, op);
-            }
-            let delta = program.db.take_delta();
-            if delta.is_empty() {
-                // prop_assume: no generation span to guard (shim has no prop_assume)
-                return;
-            }
-            let next = program.reground_owned(prior, &delta).unwrap();
-            let err = program.reground_owned(next, &delta).unwrap_err();
-            prop_assert!(
-                matches!(err, RegroundError::StateMismatch { .. }),
-                "double-drained delta must be a StateMismatch, got {}", err
-            );
-        }
-
-        /// A delta that starts *past* the prior's stamp (an intermediate
-        /// drain was lost) is rejected instead of spliced over the gap.
-        #[test]
-        fn delta_skipping_a_generation_is_rejected(
-            db in arb_db(),
-            rules in prop::collection::vec(arb_rule(), 1..4),
-            ops in arb_ops(),
-        ) {
-            let mut program = guard_program(db, &rules);
-            let prior = program.ground().unwrap();
-            let _ = program.db.take_delta();
-            for op in ops {
-                apply_op(&mut program, op);
-            }
-            let lost = program.db.take_delta();
-            if lost.is_empty() {
-                // prop_assume: no generation span to guard (shim has no prop_assume)
-                return;
-            }
-            // One more mutation after the lost drain: its delta's base
-            // generation is newer than the prior's stamp.
-            program
-                .db
-                .observe(GroundAtom::from_strs(PredId(0), &["guard-new"]), 0.5);
-            let late = program.db.take_delta();
-            let err = program.reground_owned(prior, &late).unwrap_err();
-            prop_assert!(
-                matches!(err, RegroundError::StateMismatch { .. }),
-                "generation-skipping delta must be a StateMismatch, got {}", err
-            );
-        }
-
-        /// A delta drained from a *different* database — even a clone with
-        /// identical content and generation numbers — is rejected on
-        /// database identity, never spliced.
-        #[test]
-        fn foreign_database_delta_is_rejected(
-            db in arb_db(),
-            rules in prop::collection::vec(arb_rule(), 1..4),
-        ) {
-            let mut program = guard_program(db.clone(), &rules);
-            let prior = program.ground().unwrap();
-            let _ = program.db.take_delta();
-            // An identical twin: same content and generation history, but
-            // cloning mints a fresh database identity.
-            let mut twin = guard_program(db, &rules);
-            let _ = twin.ground().unwrap();
-            let _ = twin.db.take_delta();
-            twin.db
-                .observe(GroundAtom::from_strs(PredId(0), &["twin-only"]), 0.4);
-            let foreign = twin.db.take_delta();
-            let err = program.reground_owned(prior, &foreign).unwrap_err();
-            prop_assert!(
-                matches!(err, RegroundError::StateMismatch { .. }),
-                "foreign delta must be a StateMismatch, got {}", err
-            );
-        }
-
-        /// The ladder's answer to a guard rejection — a fresh ground —
-        /// describes exactly the HL-MRF a from-scratch build describes,
-        /// and its new stamp re-arms the incremental path.
-        #[test]
-        fn fallback_fresh_ground_equals_from_scratch(
-            db in arb_db(),
-            rules in prop::collection::vec(arb_rule(), 1..4),
-            ops in arb_ops(),
-        ) {
-            let mut program = guard_program(db, &rules);
-            let prior = program.ground().unwrap();
-            let _ = program.db.take_delta();
-            for op in ops {
-                apply_op(&mut program, op);
-            }
-            let delta = program.db.take_delta();
-            if delta.is_empty() {
-                // prop_assume: no generation span to guard (shim has no prop_assume)
-                return;
-            }
-            let next = program.reground_owned(prior, &delta).unwrap();
-            // A stale re-apply trips the guard …
-            prop_assert!(program.reground_owned(next, &delta).is_err());
-            // … and the fallback fresh ground equals a from-scratch build
-            // of the same (mutated) database.
-            let fallback = program.ground().unwrap();
-            let reference = guard_program(program.db.clone(), &rules).ground().unwrap();
-            prop_assert_eq!(fallback.canonical_terms(), reference.canonical_terms());
-            prop_assert!(
-                (fallback.constant_loss - reference.constant_loss).abs() < 1e-9,
-                "constant loss {} vs {}", fallback.constant_loss, reference.constant_loss
-            );
-            // The fallback is freshly stamped: the next delta splices.
-            program
-                .db
-                .observe(GroundAtom::from_strs(PredId(0), &["after-fallback"]), 0.7);
-            let tail = program.db.take_delta();
-            prop_assert!(program.reground_owned(fallback, &tail).is_ok());
         }
     }
 }

@@ -27,7 +27,6 @@ pub mod objective;
 pub mod pipeline;
 pub mod preprocess;
 pub mod reduction;
-pub mod relaxation;
 pub mod selectors;
 
 pub use coverage::{CoverageModel, CoverageOptions, ErrorGroup};
@@ -39,7 +38,6 @@ pub use objective::{Objective, ObjectiveWeights};
 pub use pipeline::{evaluate_scenario, SelectionOutcome};
 pub use preprocess::{preprocess, PreprocessReport};
 pub use reduction::{build_reduction, SetCoverInstance};
-pub use relaxation::{build_eval_program, EvalPreds, WarmRelaxation};
 pub use selectors::{
     BranchBound, CompiledProgram, Exhaustive, FixedSelection, Greedy, IndependentBaseline,
     LocalSearch, PslCollective, SelectError, Selection, SelectionTelemetry, Selector,

@@ -5,24 +5,16 @@
 //! from random subsets. Deterministic given the seed.
 //!
 //! Every move is chosen by the exact discrete objective (incremental
-//! probes, [`crate::incremental::IncrementalObjective`]); by default that
-//! is all the search does.
-//!
-//! Opting into `track_relaxation` additionally copies each climb's
-//! accepted flips into a [`WarmRelaxation`] as one batch
-//! ([`WarmRelaxation::set_members`]: one coalesced delta, one incremental
-//! [`cms_psl::Program::reground`], one warm-started ADMM solve) and
-//! reports its [`WarmRelaxation::telemetry`] plus the soft objective of
-//! the winning selection. The selection, objective and evaluation count
-//! are the same either way; the option exists for the tools and tests
-//! that exercise the delta-grounding path on real search traffic.
+//! probes, [`crate::incremental::IncrementalObjective`]); that is all the
+//! search does. Opting into `track_relaxation` additionally reports the
+//! PSL relaxation's soft objective at the winning selection, in closed
+//! form ([`Objective::relaxed_value`]): nothing is grounded or solved, and
+//! the selection, objective and evaluation count are the same either way.
 
 use super::greedy::greedy_from;
 use super::{useful_candidates, SelectError, Selection, Selector};
 use crate::coverage::CoverageModel;
 use crate::objective::{Objective, ObjectiveWeights};
-use crate::relaxation::WarmRelaxation;
-use cms_psl::AdmmConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,9 +25,10 @@ pub struct LocalSearch {
     pub restarts: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Also copy accepted flips into the warm PSL relaxation (delta
-    /// reground + warm-started ADMM) and report its telemetry. Off by
-    /// default: diagnostics only, the selection is identical either way.
+    /// Also report the PSL relaxation's soft objective at the winning
+    /// selection ([`Objective::relaxed_value`]) in
+    /// [`super::SelectionTelemetry::soft_objective`]. Off by default:
+    /// diagnostics only, the selection is identical either way.
     pub track_relaxation: bool,
 }
 
@@ -54,18 +47,10 @@ fn hill_climb(
     weights: &ObjectiveWeights,
     start: &[usize],
     evaluations: &mut usize,
-    mut relax: Option<&mut WarmRelaxation>,
-) -> Result<(Vec<usize>, f64), SelectError> {
+) -> (Vec<usize>, f64) {
     let useful = useful_candidates(model);
     let mut inc = crate::incremental::IncrementalObjective::with_selection(model, *weights, start);
-    if let Some(r) = relax.as_deref_mut() {
-        r.set_selection(start)?;
-    }
     *evaluations += 1;
-    // Accepted flips accumulate here and are mirrored into the relaxation
-    // as ONE batch after the climb settles: the drain coalesces them to
-    // their net effect, so the whole climb costs one reground + one solve.
-    let mut accepted: Vec<(usize, bool)> = Vec::new();
     loop {
         let mut best_delta = -1e-12;
         let mut best_flip = None;
@@ -82,26 +67,14 @@ fn hill_climb(
             }
         }
         match best_flip {
-            Some(c) => {
-                let now_selected = !inc.is_selected(c);
-                if now_selected {
-                    inc.add(c);
-                } else {
-                    inc.remove(c);
-                }
-                accepted.push((c, now_selected));
-            }
+            Some(c) if inc.is_selected(c) => inc.remove(c),
+            Some(c) => inc.add(c),
             None => break,
-        }
-    }
-    if let Some(r) = relax {
-        if !accepted.is_empty() {
-            r.set_members(&accepted)?;
         }
     }
     let selected = inc.selection();
     let value = Objective::new(model, *weights).value(&selected);
-    Ok((selected, value))
+    (selected, value)
 }
 
 impl Selector for LocalSearch {
@@ -115,21 +88,11 @@ impl Selector for LocalSearch {
         weights: &ObjectiveWeights,
     ) -> Result<Selection, SelectError> {
         let mut evaluations = 0usize;
-        let mut relax = if self.track_relaxation {
-            Some(WarmRelaxation::new(model, weights, AdmmConfig::default())?)
-        } else {
-            None
-        };
         // Start 1: greedy.
         let (greedy_sel, _, ev) = greedy_from(model, weights, Vec::new());
         evaluations += ev;
-        let (mut best_sel, mut best_val) = hill_climb(
-            model,
-            weights,
-            &greedy_sel,
-            &mut evaluations,
-            relax.as_mut(),
-        )?;
+        let (mut best_sel, mut best_val) =
+            hill_climb(model, weights, &greedy_sel, &mut evaluations);
 
         // Random restarts.
         let useful = useful_candidates(model);
@@ -140,22 +103,21 @@ impl Selector for LocalSearch {
                 .copied()
                 .filter(|_| rng.gen_bool(0.3))
                 .collect();
-            let (sel, val) = hill_climb(model, weights, &start, &mut evaluations, relax.as_mut())?;
+            let (sel, val) = hill_climb(model, weights, &start, &mut evaluations);
             if val < best_val - 1e-12 {
                 best_val = val;
                 best_sel = sel;
             }
         }
-        let mut selection = Selection::new(best_sel, best_val, evaluations);
-        if let Some(mut r) = relax {
-            // Park the relaxation at the winning selection for the report.
-            let soft = r.set_selection(&selection.selected)?;
-            selection = selection.with_telemetry(super::SelectionTelemetry {
-                soft_objective: Some(soft),
-                ..r.telemetry
-            });
+        let selection = Selection::new(best_sel, best_val, evaluations);
+        if !self.track_relaxation {
+            return Ok(selection);
         }
-        Ok(selection)
+        let soft = Objective::new(model, *weights).relaxed_value(&selection.selected);
+        Ok(selection.with_telemetry(super::SelectionTelemetry {
+            soft_objective: Some(soft),
+            ..Default::default()
+        }))
     }
 }
 
@@ -210,22 +172,25 @@ mod tests {
         let (model, _) = known_optimum_model();
         let w = ObjectiveWeights::unweighted();
         let sel = tracked().select(&model, &w).unwrap();
-        let t = &sel.telemetry;
-        let soft = t
-            .soft_objective
-            .expect("tracked run reports soft objective");
+        let soft = Objective::new(&model, w).relaxed_value(&sel.selected);
         assert!(
-            soft <= sel.objective + 5e-3,
+            soft <= sel.objective,
             "soft {soft} vs discrete {}",
             sel.objective
         );
-        // The mirror must have gone through the incremental path.
-        assert!(t.flips > 0);
-        assert!(t.terms_reused > 0, "flips must splice ground terms");
-        assert!(t.admm_iterations > 0);
-        assert!(t.last_health.is_some());
-        // A nominal run takes no ladder rungs.
-        assert!(t.degradations.is_empty(), "{:?}", t.degradations);
+        // The report is the closed form, bit for bit, and nothing else:
+        // no solve ran, so every other field stays at its default.
+        assert_eq!(
+            sel.telemetry,
+            super::super::SelectionTelemetry {
+                soft_objective: Some(soft),
+                ..Default::default()
+            }
+        );
+        assert_eq!(
+            sel.telemetry.soft_objective.map(f64::to_bits),
+            Some(soft.to_bits())
+        );
     }
 
     #[test]

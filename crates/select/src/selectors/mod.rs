@@ -89,49 +89,27 @@ impl From<cms_psl::GroundingError> for SelectError {
 
 /// Structured diagnostics from a selector run.
 ///
-/// The one declaration of the relaxation counters: [`WarmRelaxation`]
-/// accumulates into this struct directly, [`LocalSearch`] (when it opts
-/// into `track_relaxation`) reports it as is plus the soft objective, and
-/// [`PslCollective`] fills the solve fields. Purely combinatorial
-/// selectors leave the default.
-///
-/// [`WarmRelaxation`]: crate::WarmRelaxation
+/// [`PslCollective`] fills the solve fields; [`LocalSearch`], when it opts
+/// into `track_relaxation`, reports only `soft_objective`. Purely
+/// combinatorial selectors leave the default.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct SelectionTelemetry {
     /// Final soft (relaxed) objective at the reported selection.
     pub soft_objective: Option<f64>,
-    /// Flips (raw value mutations, before coalescing) applied to the warm
-    /// relaxation.
+    /// Always 0: no selector flips a warm relaxation any more. Kept until
+    /// the benchmark stops reading it.
     pub flips: usize,
-    /// Ground terms spliced (reused byte-identically) across regrounds.
+    /// Always 0: nothing is regrounded any more. Kept until the benchmark
+    /// stops reading it.
     pub terms_reused: usize,
-    /// Ground terms recomputed across regrounds.
+    /// Always 0, like [`SelectionTelemetry::terms_reused`].
     pub terms_recomputed: usize,
-    /// Arithmetic free bindings spliced across regrounds without
-    /// re-folding their summations.
-    pub arith_bindings_spliced: usize,
-    /// Raw delta entries coalesced away before the regrounder saw them
-    /// (cancelling flip pairs and folded flip chains inside one batch).
-    pub entries_coalesced: usize,
-    /// Batch entries deduplicated into reground work already scheduled by
-    /// an earlier entry of the same drained delta.
-    pub sources_deduped: usize,
-    /// Total ADMM iterations across all solves.
+    /// ADMM iterations of the solve (collective selector only).
     pub admm_iterations: usize,
-    /// Dual variables carried between warm solves.
-    pub dual_terms_carried: usize,
-    /// Regrounds abandoned for a fresh ground (self-healing rungs 2/4).
-    pub fallback_fresh_grounds: usize,
     /// ADMM restarts taken inside the solver's restart loop.
     pub solver_restarts: usize,
-    /// Carried dual states dropped for non-finiteness (rung 1).
-    pub duals_dropped: usize,
-    /// Warm solves escalated to a cold resolve (rung 3).
-    pub cold_solves: usize,
-    /// Health of the last ADMM solve.
+    /// Health of the ADMM solve.
     pub last_health: Option<cms_psl::SolveHealth>,
-    /// Degradation-ladder rungs taken during the run, in order.
-    pub degradations: Vec<cms_obs::DegradationRung>,
     /// Whether the final solve converged (collective selector only).
     pub converged: Option<bool>,
     /// Ground term count of the final program (collective selector only).
@@ -236,9 +214,8 @@ pub(crate) mod test_support {
         CoverageModel::build(&scenario.source, &scenario.target, &scenario.candidates)
     }
 
-    /// Per target, its explain cap's `(candidate, degree)` terms as the
-    /// `build_program` and `build_eval_program` once found them: every
-    /// (target, candidate) pair
+    /// Per target, its explain cap's `(candidate, degree)` terms as
+    /// `build_program` once found them: every (target, candidate) pair
     /// through [`CoverageModel::cover`].
     pub fn explain_caps_by_scan(model: &CoverageModel) -> Vec<Vec<(usize, f64)>> {
         (0..model.num_targets())

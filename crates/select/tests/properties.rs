@@ -95,6 +95,30 @@ proptest! {
         prop_assert!(f.value(&all) >= s - 1e-9);
     }
 
+    /// The PSL relaxation at an integral selection (capped sum of covers)
+    /// never exceeds `F` (max of covers), and equals it bit for bit when
+    /// no target has two selected coverers: then every sum is a max.
+    #[test]
+    fn relaxed_value_lower_bounds_the_objective(
+        model in arb_model(),
+        weights in arb_weights(),
+        bits in prop::collection::vec(any::<bool>(), 7),
+    ) {
+        let f = Objective::new(&model, weights);
+        let selection: Vec<usize> = (0..model.num_candidates).filter(|&c| bits[c]).collect();
+        let (relaxed, exact) = (f.relaxed_value(&selection), f.value(&selection));
+        prop_assert!(relaxed <= exact, "relaxed {} > F {}", relaxed, exact);
+        let mut coverers = vec![0usize; model.num_targets()];
+        for &c in &selection {
+            for &(t, _) in &model.covers[c] {
+                coverers[t] += 1;
+            }
+        }
+        if coverers.iter().all(|&n| n <= 1) {
+            prop_assert_eq!(relaxed.to_bits(), exact.to_bits());
+        }
+    }
+
     /// `components` partitions the useful candidates: each lies in
     /// exactly one component, and no target or error group reaches into
     /// two of them.

@@ -1,7 +1,7 @@
 //! The unified telemetry layer end to end: run the full pipeline (chase →
-//! ground → reground → solve) under the `cms-obs` event journal, force one
-//! degradation-ladder rung via the fault harness, and export what was
-//! recorded.
+//! compile → solve) under the `cms-obs` event journal, force one
+//! watchdog restart of the PSL solve via the fault harness, and export
+//! what was recorded.
 //!
 //! Run with: `CMS_OBS=journal cargo run --release --example telemetry`
 //!
@@ -30,20 +30,21 @@ fn main() {
     };
     let scenario = generate(&config);
 
-    // Force rung 1 of the self-healing ladder on the first warm solve:
-    // the armed fault NaN-poisons the first carried dual vector, the
-    // `all_finite` guard drops it, and the journal gets both the fault
-    // and the degradation event.
-    cms::psl::fault::arm(cms::psl::Fault::PoisonDuals);
-
-    // Local search opted into the warm relaxation: each climb's accepted
-    // flips become one reground + one warm ADMM solve.
-    let local_search = LocalSearch {
-        track_relaxation: true,
-        ..LocalSearch::default()
+    // The paper's collective selector with the solver watchdog armed. The
+    // armed fault forces a stall at the first residual check; the
+    // watchdog restarts the solve, and the journal gets the fault and a
+    // solve event carrying the restart.
+    let psl = PslCollective {
+        admm: AdmmConfig {
+            stall_window: 1000,
+            max_restarts: 2,
+            ..AdmmConfig::default()
+        },
+        ..PslCollective::default()
     };
-    let outcome = evaluate_scenario(&scenario, &local_search, &ObjectiveWeights::unweighted())
-        .expect("pipeline runs");
+    cms::psl::fault::arm(cms::psl::Fault::SolverStall);
+    let outcome =
+        evaluate_scenario(&scenario, &psl, &ObjectiveWeights::unweighted()).expect("pipeline runs");
     cms::psl::fault::disarm();
 
     println!(
@@ -55,14 +56,13 @@ fn main() {
     );
     let t = &outcome.selection.telemetry;
     println!(
-        "relaxation: soft objective {:.3}, {} flips, {} terms reused / {} recomputed, \
-         {} ADMM iterations, {} ladder rungs",
+        "relaxation: soft objective {:.3}, {} ground terms, {} ADMM iterations, \
+         {} watchdog restarts, health {}",
         t.soft_objective.unwrap_or(f64::NAN),
-        t.flips,
-        t.terms_reused,
-        t.terms_recomputed,
+        t.ground_terms.unwrap_or(0),
         t.admm_iterations,
-        t.degradations.len()
+        t.solver_restarts,
+        t.last_health.map_or("n/a".to_owned(), |h| h.to_string())
     );
 
     // Metrics: what this run added to the process-wide registry.

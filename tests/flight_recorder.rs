@@ -1,8 +1,9 @@
 //! Acceptance test for the flight recorder: the bounded journal ring
 //! keeps a run longer than its capacity to exactly `capacity` retained
-//! events with an exact drop count, a rung ≥ 2 degradation persists a
-//! black-box dump, and an injected `SolverStall` shows up as a solve-side
-//! regression in both the journal counters and the span profile.
+//! events with an exact drop count, a degraded solve (a watchdog restart)
+//! persists a black-box dump, and an injected `SolverStall` shows up as a
+//! solve-side regression in both the journal counters and the span
+//! profile.
 //!
 //! One `#[test]` because the journal, span store, ring configuration and
 //! level override are process-wide.
@@ -42,11 +43,15 @@ fn ring_bounds_retention_dumps_on_degradation_and_attributes_stalls() {
     let scenario = scenario();
     let weights = ObjectiveWeights::unweighted();
     let model = CoverageModel::build(&scenario.source, &scenario.target, &scenario.candidates);
-    // Every run here exercises the relaxation: local search opts into
-    // copying its climbs into the warm reground + ADMM path.
-    let tracked = LocalSearch {
-        track_relaxation: true,
-        ..LocalSearch::default()
+    // Every run here solves the collective PSL program with the solver
+    // watchdog armed.
+    let psl = PslCollective {
+        admm: AdmmConfig {
+            stall_window: 1000,
+            max_restarts: 2,
+            ..AdmmConfig::default()
+        },
+        ..PslCollective::default()
     };
 
     // --- Bounded capture: a run emitting more events than the ring
@@ -55,12 +60,14 @@ fn ring_bounds_retention_dumps_on_degradation_and_attributes_stalls() {
     obs::set_ring_capacity_override(Some(4));
     let _ = obs::drain_journal_snapshot();
     let _ = obs::drain_spans();
-    let _ = tracked.select(&model, &weights).expect("selects");
+    for _ in 0..6 {
+        let _ = psl.select(&model, &weights).expect("selects");
+    }
     let snap = obs::drain_journal_snapshot();
     assert_eq!(snap.records.len(), 4, "ring retains exactly its capacity");
-    assert!(
-        snap.header.events_dropped > 0,
-        "a full pipeline run overflows a 4-slot ring"
+    assert_eq!(
+        snap.header.events_dropped, 2,
+        "six solves overflow a 4-slot ring by two"
     );
     assert_eq!(snap.header.events, 4);
     assert_eq!(snap.header.ring_capacity, 4);
@@ -83,34 +90,31 @@ fn ring_bounds_retention_dumps_on_degradation_and_attributes_stalls() {
     assert_eq!(back, snap);
     obs::clear_ring_capacity_override();
 
-    // --- Black box: a rung ≥ 2 degradation (corrupted splice ordinal →
-    // fresh ground) persists the journal window to the dump path.
+    // --- Black box: a degraded solve (an injected stall the watchdog
+    // restarts) persists the journal window to the dump path.
     let dump =
         std::env::temp_dir().join(format!("cms-flight-recorder-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&dump);
     obs::set_dump_path_override(Some(dump.to_str().expect("utf-8 temp path")));
     let _ = obs::drain_journal_snapshot();
     let _ = obs::drain_spans();
-    cms::psl::fault::arm(cms::psl::Fault::CorruptSpliceOrdinal);
-    let _ = tracked
+    cms::psl::fault::arm(cms::psl::Fault::SolverStall);
+    let _ = psl
         .select(&model, &weights)
-        .expect("selects through the ladder");
+        .expect("selects through the restart");
     cms::psl::fault::disarm();
     obs::clear_dump_path_override();
     let dumped = std::fs::read_to_string(&dump).expect("degradation wrote the dump");
     let dumped = obs::JournalSnapshot::parse(&dumped).expect("dump is a valid snapshot");
-    let rungs: Vec<u32> = dumped
-        .records
-        .iter()
-        .filter_map(|r| match &r.event {
-            obs::Event::Degradation(rung) => Some(rung.rung()),
-            _ => None,
-        })
-        .collect();
+    let last = dumped.records.last().map(|r| &r.event);
     assert!(
-        rungs.iter().any(|&r| r >= 2),
-        "dump captures the rung ≥ 2 degradation that triggered it, got {rungs:?}"
+        matches!(last, Some(obs::Event::Solve { restarts, .. }) if *restarts >= 1),
+        "dump ends with the restarted solve that triggered it, got {last:?}"
     );
+    assert!(dumped.records.iter().any(|r| matches!(
+        &r.event,
+        obs::Event::Fault { fault } if fault == "solver-stall"
+    )));
     let _ = std::fs::remove_file(&dump);
 
     // --- Attribution: an injected solver stall must surface as extra
@@ -119,14 +123,12 @@ fn ring_bounds_retention_dumps_on_degradation_and_attributes_stalls() {
     // span profile.
     let _ = obs::drain_journal_snapshot();
     let _ = obs::drain_spans();
-    let _ = tracked.select(&model, &weights).expect("clean run selects");
+    let _ = psl.select(&model, &weights).expect("clean run selects");
     let clean = obs::drain_journal_snapshot();
     let clean_profile = obs::profile(&obs::drain_spans(), 0);
 
     cms::psl::fault::arm(cms::psl::Fault::SolverStall);
-    let _ = tracked
-        .select(&model, &weights)
-        .expect("stalled run selects");
+    let _ = psl.select(&model, &weights).expect("stalled run selects");
     cms::psl::fault::disarm();
     let stalled = obs::drain_journal_snapshot();
     let stalled_profile = obs::profile(&obs::drain_spans(), 0);

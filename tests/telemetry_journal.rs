@@ -1,9 +1,9 @@
 //! Acceptance test for the unified telemetry layer: one pipeline run at
 //! the `journal` level must emit typed events covering every subsystem
-//! (chase, ground, reground, solve, degradation), and the journal's
-//! counters must reconcile *exactly* with the stats the engines report
-//! through their own APIs ([`cms::tgd::ChaseStats`],
-//! `GroundStats`-backed selection telemetry, ADMM iteration totals).
+//! (chase, ground, solve, fault), and the journal's counters must
+//! reconcile *exactly* with the stats the engines report through their
+//! own APIs ([`cms::tgd::ChaseStats`], [`GroundStats`], the collective
+//! selector's ADMM telemetry).
 //!
 //! Everything runs in a single `#[test]` because the journal, span store,
 //! and level override are process-wide.
@@ -11,7 +11,7 @@
 use cms::obs;
 use cms::prelude::*;
 use cms::psl::GroundStats;
-use cms::select::{build_eval_program, SelectionTelemetry};
+use cms::select::SelectionTelemetry;
 use std::time::Duration;
 
 fn scenario() -> Scenario {
@@ -70,7 +70,7 @@ fn journal_covers_the_pipeline_and_reconciles_with_engine_stats() {
     );
 
     // --- Ground: per-rule events absorb to GroundProgram::total_stats. ---
-    let (program, _) = build_eval_program(&model, &weights, &[]);
+    let (program, _) = PslCollective::default().build_program(&model, &weights);
     let ground = program.ground().expect("grounds");
     let total = ground.total_stats();
     let events = obs::drain_journal();
@@ -91,66 +91,62 @@ fn journal_covers_the_pipeline_and_reconciles_with_engine_stats() {
     }
     assert_eq!(sans_wall_ground(&journaled), sans_wall_ground(&total));
 
-    // --- Default local search is a pure discrete search: nothing goes
-    // through the relaxation, so nothing is regrounded or solved. ---
+    // --- Local search is a pure discrete search: tracked or not, nothing
+    // is grounded or solved. Tracking reports the relaxation's closed
+    // form and nothing else. ---
     let _ = obs::drain_journal();
     let plain = LocalSearch::default()
         .select(&model, &weights)
         .expect("selects");
-    let events = obs::drain_journal();
-    for e in &events {
-        let kind = e.event.kind();
-        assert!(
-            kind != "reground" && kind != "solve",
-            "default local search emitted a {kind} event"
-        );
-    }
-    assert_eq!(plain.telemetry, SelectionTelemetry::default());
-
-    // --- Full run: local search opted into the warm relaxation, with one
-    // fault forcing rung 1 of the degradation ladder. ---
-    let _ = obs::drain_journal();
-    cms::psl::fault::arm(cms::psl::Fault::PoisonDuals);
-    let sel = LocalSearch {
+    let tracked = LocalSearch {
         track_relaxation: true,
         ..LocalSearch::default()
     }
     .select(&model, &weights)
     .expect("selects");
+    let events = obs::drain_journal();
+    assert!(events.is_empty(), "local search emitted {events:?}");
+    assert_eq!(plain.telemetry, SelectionTelemetry::default());
+    assert_eq!(tracked.selected, plain.selected);
+    assert_eq!(
+        tracked.telemetry,
+        SelectionTelemetry {
+            soft_objective: Some(Objective::new(&model, weights).relaxed_value(&plain.selected)),
+            ..SelectionTelemetry::default()
+        }
+    );
+
+    // --- Full run: the collective selector with the solver watchdog
+    // armed, and one injected stall forcing a watchdog restart. ---
+    let psl = PslCollective {
+        admm: AdmmConfig {
+            stall_window: 1000,
+            max_restarts: 2,
+            ..AdmmConfig::default()
+        },
+        ..PslCollective::default()
+    };
+    let clean = psl.select(&model, &weights).expect("selects");
+    let _ = obs::drain_journal();
+    cms::psl::fault::arm(cms::psl::Fault::SolverStall);
+    let sel = psl.select(&model, &weights).expect("selects");
     cms::psl::fault::disarm();
     let events = obs::drain_journal();
     obs::clear_level_override();
 
-    // Tracking the relaxation changes what is reported, not what is
-    // selected.
-    assert_eq!(sel.selected, plain.selected);
-    assert_eq!(sel.objective, plain.objective);
-    assert_eq!(sel.evaluations, plain.evaluations);
+    // The restarted solve recovers the fault-free selection.
+    assert_eq!(sel.selected, clean.selected);
+    assert_eq!(sel.objective, clean.objective);
 
     let t = &sel.telemetry;
     let kinds: std::collections::BTreeSet<&str> = events.iter().map(|e| e.event.kind()).collect();
-    for kind in ["ground", "reground", "solve", "degradation", "fault"] {
+    for kind in ["solve", "fault"] {
         assert!(kinds.contains(kind), "missing {kind} events in {kinds:?}");
     }
 
-    // Reground events absorb the same per-rule stats the relaxation
-    // accumulates into its public counters — sums must agree exactly.
-    let mut regrounds = GroundStats::default();
-    for e in &events {
-        if let obs::Event::Reground { stats, .. } = &e.event {
-            regrounds.absorb(stats);
-        }
-    }
-    assert_eq!(
-        regrounds.terms_reused, t.terms_reused,
-        "terms_reused reconciles"
-    );
-    assert_eq!(regrounds.terms_recomputed, t.terms_recomputed);
-    assert_eq!(regrounds.arith_bindings_spliced, t.arith_bindings_spliced);
-
     // Solve events carry AdmmSolution fields; iteration and restart sums
-    // must equal the relaxation's cumulative counters, and the last
-    // event's health must be the reported last_health.
+    // must equal the selector's telemetry, and the last event's health
+    // must be the reported last_health.
     let solves: Vec<_> = events
         .iter()
         .filter_map(|e| match &e.event {
@@ -163,19 +159,20 @@ fn journal_covers_the_pipeline_and_reconciles_with_engine_stats() {
             _ => None,
         })
         .collect();
-    assert!(!solves.is_empty());
+    assert_eq!(solves.len(), 1, "one PSL selection is one solve");
     let iters: u64 = solves.iter().map(|s| s.0).sum();
     let restarts: u64 = solves.iter().map(|s| s.1).sum();
     assert_eq!(iters, t.admm_iterations as u64, "ADMM iterations reconcile");
     assert_eq!(restarts, t.solver_restarts as u64);
+    assert_eq!(restarts, 1, "the injected stall forces one restart");
     assert_eq!(
         solves.last().unwrap().2,
         t.last_health.unwrap().to_string(),
         "last solve event carries the reported health"
     );
+    assert!(t.last_health.is_some_and(|h| h.is_nominal()));
 
-    // The armed fault fired exactly once and took exactly rung 1, which
-    // the selection telemetry records as a typed DegradationRung.
+    // The armed fault fired exactly once.
     let faults: Vec<_> = events
         .iter()
         .filter_map(|e| match &e.event {
@@ -183,21 +180,7 @@ fn journal_covers_the_pipeline_and_reconciles_with_engine_stats() {
             _ => None,
         })
         .collect();
-    assert_eq!(faults, vec!["poison-duals".to_owned()]);
-    let rungs: Vec<u32> = events
-        .iter()
-        .filter_map(|e| match &e.event {
-            obs::Event::Degradation(r) => Some(r.rung()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(rungs, vec![1], "poisoned duals degrade via rung 1 only");
-    assert_eq!(
-        t.degradations.iter().map(|r| r.rung()).collect::<Vec<_>>(),
-        rungs,
-        "selection telemetry mirrors the journal's rungs"
-    );
-    assert_eq!(t.duals_dropped, 1);
+    assert_eq!(faults, vec!["solver-stall".to_owned()]);
 
     // The journal round-trips through the JSONL exporter losslessly.
     let jsonl = obs::export_jsonl(&events);
