@@ -2,15 +2,14 @@
 //! ground programs — isolates the inference engine from grounding and
 //! breaks the iteration into its **local** and **consensus** phases.
 //!
-//! Three solve variants run a fixed iteration budget (tolerances zeroed so
-//! every variant pays exactly the same number of iterations):
+//! Two solve variants run a fixed iteration budget (tolerances zeroed so
+//! both pay exactly the same number of iterations):
 //!
 //! * `solve-reference` — a faithful reimplementation of the seed solver's
 //!   iteration (per-term `Vec` copies, a fresh `sums` allocation and three
 //!   separate sweeps per consensus step) timed per phase;
-//! * `solve-serial` — the sharded solver at `threads = 1`;
-//! * `solve-threads4` — the sharded solver at `threads = 4` (bit-identical
-//!   results; wall-clock speedup shows up on multi-core hosts).
+//! * `solve-serial` — the solver, whose consensus step is one fused pass
+//!   per block.
 //!
 //! The `ap4` problem is the collective PSL program
 //! (`PslCollective::compile`) of the unreduced `all_primitives(4)` model,
@@ -84,10 +83,8 @@ fn data_scale_program(rows: usize) -> GroundProgram {
 /// within a handful of iterations, so even zero tolerances would stop
 /// early), forcing exactly `iters` iterations — timing differences are
 /// per-iteration cost, not convergence luck.
-fn fixed_cfg(threads: usize, iters: usize) -> AdmmConfig {
+fn fixed_cfg(iters: usize) -> AdmmConfig {
     AdmmConfig {
-        threads,
-        parallel_threshold: 0,
         eps_abs: -1.0,
         eps_rel: 0.0,
         max_iterations: iters,
@@ -106,8 +103,8 @@ fn emit(group: &str, id: &str, samples: &[f64]) {
 
 // ---------------------------------------------------------------------------
 // Reference iteration: the seed solver's data layout and three-sweep
-// consensus, kept here so the fused sharded step has a measurable baseline
-// even on single-core hosts.
+// consensus, kept here so the fused consensus pass has a measurable
+// baseline.
 // ---------------------------------------------------------------------------
 
 enum RefKind {
@@ -279,8 +276,8 @@ fn bench_admm(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("admm");
     group.sample_size(10);
-    // Fixed-iteration whole-solve timings: reference vs sharded serial vs
-    // sharded 4-thread (identical arithmetic, identical results).
+    // Fixed-iteration whole-solve timings: the seed-layout reference vs the
+    // solver (identical arithmetic).
     group.bench_with_input(BenchmarkId::new("solve-reference", "ap4"), &(), |b, ()| {
         b.iter(|| {
             let mut rs = RefSolver::new(&ap4);
@@ -291,10 +288,7 @@ fn bench_admm(c: &mut Criterion) {
         });
     });
     group.bench_with_input(BenchmarkId::new("solve-serial", "ap4"), &(), |b, ()| {
-        b.iter(|| std::hint::black_box(solve(&ap4, &fixed_cfg(1, iters)).iterations));
-    });
-    group.bench_with_input(BenchmarkId::new("solve-threads4", "ap4"), &(), |b, ()| {
-        b.iter(|| std::hint::black_box(solve(&ap4, &fixed_cfg(4, iters)).iterations));
+        b.iter(|| std::hint::black_box(solve(&ap4, &fixed_cfg(iters)).iterations));
     });
 
     // The production PSL solve to convergence, each block to its own
@@ -307,12 +301,10 @@ fn bench_admm(c: &mut Criterion) {
     // `bench_interleaved`: each sample round times one burst of every
     // variant in turn (each body sets its own telemetry override), so
     // CPU-frequency drift and noisy scheduling windows are charged to all
-    // lines roughly equally.
+    // lines roughly equally. A burst is one solve here, so a round spans
+    // about 40 ms; 1500 rounds (about a minute) steady the medians.
     let ds = data_scale_program(if quick { 10 } else { 100 });
-    let ds_cfg = AdmmConfig {
-        threads: 1,
-        ..AdmmConfig::default()
-    };
+    let ds_cfg = AdmmConfig::default();
     let ds_sol = ds.solve(&ds_cfg).admm;
     eprintln!(
         "admm bench: ds100 -> {} terms, {} blocks, {} iterations, converged {}",
@@ -355,7 +347,7 @@ fn bench_admm(c: &mut Criterion) {
             }),
         ));
     }
-    group.sample_size(240);
+    group.sample_size(1500);
     group.bench_interleaved(bodies);
     cms_obs::clear_level_override();
     cms_obs::clear_ring_capacity_override();
@@ -365,8 +357,8 @@ fn bench_admm(c: &mut Criterion) {
     group.finish();
     emit("admm", "work/ds100", &[ds_sol.term_updates as f64]);
 
-    // Phase breakdown, per iteration: the fused sharded consensus pass vs
-    // the seed's three-sweep consensus, plus the thread-scaling line.
+    // Phase breakdown, per iteration: the fused consensus pass vs the
+    // seed's three-sweep consensus.
     let mut ref_local = Vec::new();
     let mut ref_consensus = Vec::new();
     for _ in 0..runs {
@@ -382,17 +374,15 @@ fn bench_admm(c: &mut Criterion) {
     }
     emit("admm", "local-reference/ap4", &ref_local);
     emit("admm", "consensus-reference/ap4", &ref_consensus);
-    for (id, threads) in [("serial", 1usize), ("threads4", 4)] {
-        let mut local = Vec::new();
-        let mut consensus = Vec::new();
-        for _ in 0..runs {
-            let sol = solve(&ap4, &fixed_cfg(threads, iters));
-            local.push(sol.local_time.as_nanos() as f64 / sol.iterations as f64);
-            consensus.push(sol.consensus_time.as_nanos() as f64 / sol.iterations as f64);
-        }
-        emit("admm", &format!("local-{id}/ap4"), &local);
-        emit("admm", &format!("consensus-{id}/ap4"), &consensus);
+    let mut local = Vec::new();
+    let mut consensus = Vec::new();
+    for _ in 0..runs {
+        let sol = solve(&ap4, &fixed_cfg(iters));
+        local.push(sol.local_time.as_nanos() as f64 / sol.iterations as f64);
+        consensus.push(sol.consensus_time.as_nanos() as f64 / sol.iterations as f64);
     }
+    emit("admm", "local-serial/ap4", &local);
+    emit("admm", "consensus-serial/ap4", &consensus);
 }
 
 criterion_group!(benches, bench_admm);

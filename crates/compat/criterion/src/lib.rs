@@ -152,26 +152,32 @@ impl BenchmarkGroup<'_> {
             }
             return;
         }
-        // Per-body warm-up: size the burst so one timed burst ≥ ~20 ms —
-        // longer than the sequential path's 5 ms, so each sample averages
-        // enough iterations that per-iteration variance (e.g. workload
-        // phases with different inner-loop counts) stays out of the
-        // per-sample minimum the ratio gates compare.
-        let mut iters: Vec<u64> = Vec::with_capacity(entries.len());
-        for (_, f) in &mut entries {
-            let mut n: u64 = 1;
-            loop {
-                let start = Instant::now();
-                for _ in 0..n {
-                    f();
-                }
-                if start.elapsed() >= Duration::from_millis(20) || n >= 1 << 20 {
-                    break;
-                }
-                n *= 2;
-            }
-            iters.push(n);
-        }
+        // Warm-up: time each body's best of three single iterations, then
+        // give every body the same burst length — the iterations the
+        // fastest body needs to fill ~5 ms (one, for anything slower). One
+        // common length amortizes any per-burst cost (the first iteration
+        // after another body ran) identically on every line, and short
+        // bursts keep a round's bodies close in time, so a noise window
+        // lands on all of them; more rounds, not longer bursts, then steady
+        // the per-burst medians the ratio gates compare.
+        let fastest = entries
+            .iter_mut()
+            .map(|(_, f)| {
+                (0..3)
+                    .map(|_| {
+                        let start = Instant::now();
+                        f();
+                        start.elapsed()
+                    })
+                    .min()
+                    .unwrap_or_default()
+            })
+            .min()
+            .unwrap_or_default();
+        let burst = Duration::from_millis(5)
+            .as_nanos()
+            .div_ceil(fastest.as_nanos().max(1))
+            .clamp(1, 1 << 20) as u64;
         let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(self.sample_size); entries.len()];
         for s in 0..self.sample_size {
             // Rotate the starting body each round so no body always runs
@@ -182,10 +188,10 @@ impl BenchmarkGroup<'_> {
                 let k = (s + j) % entries.len();
                 let f = &mut entries[k].1;
                 let start = Instant::now();
-                for _ in 0..iters[k] {
+                for _ in 0..burst {
                     f();
                 }
-                samples[k].push(start.elapsed().as_nanos() as f64 / iters[k] as f64);
+                samples[k].push(start.elapsed().as_nanos() as f64 / burst as f64);
             }
         }
         for (k, (id, _)) in entries.iter().enumerate() {

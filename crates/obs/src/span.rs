@@ -3,17 +3,17 @@
 //! cross-thread attribution.
 //!
 //! A span opened with [`span`] parents itself under the current
-//! thread's innermost open span. Worker threads (the sharded-ADMM
-//! consensus, the parallel grounder) have no ambient parent, so they
-//! open their spans with [`span_with_parent`], passing the ID the
-//! coordinating thread captured before spawning — that keeps the tree
-//! connected across `std::thread::scope` boundaries.
+//! thread's innermost open span. Worker threads (the parallel grounder)
+//! have no ambient parent, so they open their spans with
+//! [`span_with_parent`], passing the ID the coordinating thread captured
+//! before spawning — that keeps the tree connected across
+//! `std::thread::scope` boundaries.
 //!
 //! Every record also carries the recording thread's track ID
 //! ([`current_tid`]) so the trace export can lay worker threads out on
 //! separate tracks and the profiler can subtract same-thread child time
 //! when computing self time. Threads can label their track with
-//! [`set_thread_track`] (e.g. `admm-worker-0`).
+//! [`set_thread_track`] (e.g. `ground-worker-0`).
 //!
 //! Below [`ObsLevel::Spans`] every guard is inert: no ID is allocated,
 //! nothing is recorded on drop. The sink is the bounded flight-recorder
@@ -108,7 +108,7 @@ const TRACK_NAME_CAP: usize = 4096;
 
 static TRACK_NAMES: Mutex<Option<std::collections::BTreeMap<u64, String>>> = Mutex::new(None);
 
-/// Label the calling thread's trace track (e.g. `admm-worker-0`). The
+/// Label the calling thread's trace track (e.g. `ground-worker-0`). The
 /// trace export emits it as the Perfetto thread name. No-op below
 /// [`ObsLevel::Spans`] and once `TRACK_NAME_CAP` (4096) distinct threads
 /// have registered.

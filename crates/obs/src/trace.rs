@@ -14,7 +14,7 @@
 //!   record's full JSONL object, so a trace embeds the journal verbatim;
 //! * **metadata events** (`"ph":"M"`, `thread_name`) naming each track:
 //!   labels registered via [`crate::set_thread_track`]
-//!   (`admm-worker-3`, ...), `thread-<tid>` otherwise, and `journal`
+//!   (`ground-worker-3`, ...), `thread-<tid>` otherwise, and `journal`
 //!   for the instants track.
 //!
 //! [`parse_trace_json`] is the inverse over the fields we own: it
@@ -259,14 +259,14 @@ mod tests {
         let spans = sample_spans();
         let events = sample_events();
         let mut tracks = BTreeMap::new();
-        tracks.insert(2u64, "admm-worker-0".to_owned());
+        tracks.insert(2u64, "ground-worker-0".to_owned());
         let doc = export_trace_json(&spans, &events, &tracks);
         let trace = parse_trace_json(&doc).expect("trace parses");
         assert_eq!(trace.spans, spans);
         assert_eq!(trace.events, events);
         assert_eq!(
             trace.track_names.get(&2).map(String::as_str),
-            Some("admm-worker-0")
+            Some("ground-worker-0")
         );
         assert_eq!(
             trace.track_names.get(&1).map(String::as_str),

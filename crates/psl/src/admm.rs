@@ -1,5 +1,4 @@
-//! Consensus-ADMM MAP inference for hinge-loss MRFs, with a **sharded,
-//! deterministic** consensus step.
+//! Consensus-ADMM MAP inference for hinge-loss MRFs.
 //!
 //! This is the solver of Bach et al., "Hinge-Loss Markov Random Fields and
 //! Probabilistic Soft Logic" (JMLR 2017): every ground potential and hard
@@ -19,38 +18,18 @@
 //! * constraint `ℓ ≤ 0`: project onto the half-space; `ℓ = 0`: project
 //!   onto the hyperplane.
 //!
-//! ## Sharded consensus
+//! ## The iteration loop
 //!
-//! The local step is embarrassingly parallel (each term owns its copies);
-//! the naive consensus step — one reduction over *every* local copy — is
-//! not, and becomes the serial bottleneck once the local step is spread
-//! over workers. This solver shards it:
-//!
-//! * Variables are partitioned into **contiguous shards** balanced by copy
-//!   count ([`AdmmConfig::shard_slots`] copies per shard). Shard boundaries
-//!   depend only on the problem, never on the thread count.
-//! * Every local copy ("slot") belongs to exactly one shard — the shard of
-//!   its variable. The scaled duals `u` are stored **shard-major**, so each
-//!   shard owns a contiguous dual range; the local copies `y` stay
-//!   term-major for the local step.
-//! * One **fused pass per shard** accumulates the per-variable sums
-//!   `Σ(yᵢ + uᵢ)` in a shard-local buffer, writes the averaged-and-clipped
-//!   consensus `z`, performs the dual update `u += y − z`, and gathers the
-//!   primal/dual residual partials — one sweep instead of three.
-//!
-//! **Determinism.** Within a shard, slots are visited in ascending
-//! term-major order — the exact order the single-threaded reduction used —
-//! and every `z[v]`, `u` slot, and residual partial is written by exactly
-//! one shard. Per-shard residual partials are merged in shard order on the
-//! coordinating thread. Consequently the iterates, iteration counts, and
-//! objectives are **bit-identical for every `threads` value** (a property
-//! test enforces this at `threads ∈ {1, 2, 4, 7}`). Shared arrays are
-//! plain `f64` bits in `AtomicU64`s (relaxed loads/stores, phase-separated
-//! by barriers), which keeps the whole solver safe Rust.
-//!
-//! Workers are spawned **once per solve** and advance through the
-//! local/consensus phases over `std::sync::Barrier`, so per-iteration
-//! parallel overhead is a few barrier waits, not a thread spawn.
+//! The solver runs one single-threaded loop. Each iteration runs the local
+//! step of every block still iterating (blocks: next section), then one
+//! **fused consensus pass** per block over its contiguous local copies
+//! ("slots") and variables: it accumulates the per-variable sums
+//! `Σ(yᵢ + uᵢ)`, writes the averaged-and-clipped consensus `z`, performs
+//! the dual update `u += y − z`, and gathers the primal/dual residual
+//! partials — one sweep instead of three. The local copies `y` and the
+//! scaled duals `u` are both stored term-major, so a block's copies are
+//! one range of each. Every per-variable sum and every residual partial
+//! runs in ascending slot order, so a solve is deterministic.
 //!
 //! ## Independent components
 //!
@@ -73,16 +52,14 @@
 //! a residual test each costs more than it saves; the components of the
 //! benchmark's PSL programs hold from about 15 to about 1000 terms.) Terms and variables
 //! are laid out block-major — stable, blocks ordered by their smallest
-//! variable, shards cut at block boundaries; with one block that is the
-//! caller's order, so such a program solves exactly as before. Variables
-//! in no term and terms without variables join block 0; they change no
-//! iterate. One loop then iterates every block still running (the
-//! parallel loop when the largest block reaches
-//! [`AdmmConfig::parallel_threshold`]), and each block has its own
-//! residual test over its own copies, its own iteration count,
-//! stall/divergence watchdogs and restarts; a block that stops drops out
-//! of the loop. The per-block outcomes merge into the one
-//! [`AdmmSolution`] of the call, in the original variable order:
+//! variable; with one block that is the caller's order, so such a program
+//! solves exactly as before. Variables in no term and terms without
+//! variables join block 0; they change no iterate. The loop iterates every
+//! block still running, and each block has its own residual test over its
+//! own copies, its own iteration count, stall/divergence watchdogs and
+//! restarts; a block that stops drops out of the loop. The per-block
+//! outcomes merge into the one [`AdmmSolution`] of the call, in the
+//! original variable order:
 //!
 //! * `values` are scattered back to the original variable ids;
 //! * `iterations` is the maximum over blocks, `converged` holds only if
@@ -95,9 +72,6 @@
 
 use crate::hinge::{ConstraintKind, GroundConstraint, GroundPotential};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, OnceLock, RwLock};
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Solver configuration.
@@ -111,9 +85,6 @@ pub struct AdmmConfig {
     pub eps_abs: f64,
     /// Relative tolerance.
     pub eps_rel: f64,
-    /// Number of worker threads (1 = serial). Defaults to the
-    /// `ADMM_THREADS` environment variable, or 1 when unset.
-    pub threads: usize,
     /// Initial value for consensus variables.
     pub initial_value: f64,
     /// Residual-balancing ρ adaptation (Boyd et al. §3.4.1): when one
@@ -121,29 +92,15 @@ pub struct AdmmConfig {
     /// rescale the duals). Helps badly scaled programs; off by default to
     /// keep runs exactly reproducible against recorded numbers.
     pub adaptive_rho: bool,
-    /// Minimum term count of the largest block before `threads > 1`
-    /// actually engages the parallel path — small problems solve faster
-    /// serially. Defaults to the `ADMM_PARALLEL_THRESHOLD` environment
-    /// variable, or 512 when unset (the previously hard-coded value). Set
-    /// to 0 to force the parallel path regardless of size (benches,
-    /// determinism tests).
-    pub parallel_threshold: usize,
-    /// Target number of local copies per consensus shard. Shard boundaries
-    /// are derived from the problem alone — never from `threads` — which
-    /// is what makes results bit-identical across thread counts.
-    pub shard_slots: usize,
     /// Stall watchdog: stop with [`SolveHealth::Stalled`] when the
     /// combined residual fails to improve on its best value for this many
     /// consecutive iterations. `0` (the default) disables the watchdog.
-    /// Detection runs on the coordinating thread over the merged residual
-    /// partials, so it is bit-identical across thread counts.
     pub stall_window: usize,
     /// Wall-clock budget for the whole solve, spanning blocks and
-    /// restarts; checked once per iteration on the coordinating thread.
-    /// When exceeded the solve stops with [`SolveHealth::TimedOut`] (never
-    /// restarted). This is the one watchdog that is inherently *not*
-    /// bit-identical across runs — leave it `None` (the default) where
-    /// reproducibility matters.
+    /// restarts; checked once per iteration. When exceeded the solve stops
+    /// with [`SolveHealth::TimedOut`] (never restarted). This is the one
+    /// watchdog that is inherently *not* bit-identical across runs —
+    /// leave it `None` (the default) where reproducibility matters.
     pub time_budget: Option<Duration>,
     /// Restarts attempted after a `Stalled` / `Diverged` outcome, per
     /// block. The first restart keeps the consensus iterate (scrubbed
@@ -215,52 +172,21 @@ impl std::fmt::Display for SolveHealth {
     }
 }
 
-/// Read a usize from the environment once (CI uses `ADMM_THREADS` /
-/// `ADMM_PARALLEL_THRESHOLD` to re-run the whole suite on the parallel
-/// path).
-fn env_usize(cache: &'static OnceLock<usize>, name: &str, default: usize) -> usize {
-    // The warning fires at most once per variable by construction: the
-    // `OnceLock` initializer runs once per process.
-    *cache.get_or_init(|| match std::env::var(name) {
-        Ok(raw) => match raw.trim().parse() {
-            Ok(v) => v,
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring malformed {name}={raw:?} (expected a \
-                     non-negative integer); using the default {default}"
-                );
-                default
-            }
-        },
-        Err(std::env::VarError::NotPresent) => default,
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            eprintln!("warning: ignoring non-unicode {name}={raw:?}; using the default {default}");
-            default
-        }
-    })
-}
-
 impl Default for AdmmConfig {
     fn default() -> AdmmConfig {
-        static THREADS: OnceLock<usize> = OnceLock::new();
-        static THRESHOLD: OnceLock<usize> = OnceLock::new();
         AdmmConfig {
             rho: 1.0,
             max_iterations: 25_000,
             eps_abs: 1e-6,
             eps_rel: 1e-4,
-            threads: env_usize(&THREADS, "ADMM_THREADS", 1).max(1),
             initial_value: 0.5,
             adaptive_rho: false,
-            parallel_threshold: env_usize(&THRESHOLD, "ADMM_PARALLEL_THRESHOLD", 512),
-            shard_slots: 4096,
             stall_window: 0,
             time_budget: None,
             max_restarts: 0,
         }
     }
 }
-
 /// What one local term optimizes.
 #[derive(Clone, Copy, Debug)]
 enum TermKind {
@@ -370,38 +296,13 @@ impl AdmmSolution {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Shared-array helpers: f64 bits in AtomicU64. All accesses are relaxed;
-// cross-thread visibility is provided by the phase barriers.
-// ---------------------------------------------------------------------------
-
-#[inline]
-fn f_load(a: &AtomicU64) -> f64 {
-    f64::from_bits(a.load(Ordering::Relaxed))
-}
-
-#[inline]
-fn f_store(a: &AtomicU64, v: f64) {
-    a.store(v.to_bits(), Ordering::Relaxed);
-}
-
-/// Residual partials of one shard, written only by the shard's owner
-/// during the consensus phase and read by the coordinator after it.
-#[derive(Default)]
-struct ShardPartials {
-    primal_sq: AtomicU64,
-    y_norm_sq: AtomicU64,
-    z_norm_sq: AtomicU64,
-    dual_sq: AtomicU64,
-}
-
-/// One contiguous variable shard and its shard-major slot range.
-#[derive(Clone, Debug)]
-struct Shard {
-    /// Variables this shard owns.
-    vars: Range<usize>,
-    /// Range in the shard-major arrays (`u`, `shard_slot`).
-    slots: Range<usize>,
+/// One block's residual partials from its latest consensus pass.
+#[derive(Clone, Copy, Default)]
+struct Residuals {
+    primal_sq: f64,
+    y_norm_sq: f64,
+    z_norm_sq: f64,
+    dual_sq: f64,
 }
 
 /// Components with fewer terms than this are solved together as one
@@ -424,19 +325,15 @@ struct Block {
     live_terms: usize,
     /// Workspace variables.
     vars: Range<usize>,
-    /// Shards (cut at the block's boundaries).
-    shards: Range<usize>,
-    /// Local copies: the same range in the term-major arrays (`y`) and
-    /// the shard-major ones (`u`), since both are block-major.
+    /// Local copies: one range of the term-major arrays (`y`, `u`).
     slots: Range<usize>,
 }
 
 /// Flattened problem + iteration state, laid out block-major (see
 /// the module docs). Terms are stored structure-of-arrays: per-term
-/// metadata plus term-major slot arrays (`slot_*`, `y`) delimited by
-/// `term_start`, and the shard-major dual array `u` linked to the
-/// term-major view through `slot_upos` / `shard_slot`. Workspace term and
-/// variable ids map back to the caller's through `term_pos` / `var_orig`.
+/// metadata plus term-major slot arrays (`slot_*`, `y`, `u`) delimited by
+/// `term_start`. Workspace variable ids map back to the caller's through
+/// `var_orig`.
 struct Workspace {
     /// Workspace variable → original variable.
     var_orig: Vec<u32>,
@@ -447,39 +344,48 @@ struct Workspace {
     coef_norm_sq: Vec<f64>,
     slot_var: Vec<u32>,
     slot_coef: Vec<f64>,
-    /// Term-major slot → its shard-major position.
-    slot_upos: Vec<u32>,
-    /// Shard-major position → its term-major slot.
-    shard_slot: Vec<u32>,
-    /// Shard-major position → its variable (saves a `slot_var` indirection
-    /// in the consensus sweeps).
-    sm_var: Vec<u32>,
-    shards: Vec<Shard>,
     counts: Vec<u32>,
-    /// Local copies, term-major (written in the local phase).
-    y: Vec<AtomicU64>,
-    /// Scaled duals, shard-major (written in the consensus phase).
-    u: Vec<AtomicU64>,
-    /// Consensus variables (written by the owning shard).
-    z: Vec<AtomicU64>,
+    /// Local copies.
+    y: Vec<f64>,
+    /// Scaled duals.
+    u: Vec<f64>,
+    /// Consensus variables.
+    z: Vec<f64>,
+    /// Per-variable `Σ(y + u)` of the block in its consensus pass.
+    sums: Vec<f64>,
 }
 
 impl Workspace {
-    /// Closed-form local minimization over a range of terms: for each term
+    /// Closed-form local minimization over block `c`'s terms: for each term
     /// compute `s = ℓ(c)` at the center `c = z − u`, pick the prox/projection
     /// step factor, and write `y = c − factor·a`.
-    fn local_phase(&self, terms: Range<usize>, rho: f64) {
-        for t in terms {
-            let s0 = self.term_start[t] as usize;
-            let s1 = self.term_start[t + 1] as usize;
-            let mut s = self.constant[t];
-            for i in s0..s1 {
-                let c = f_load(&self.z[self.slot_var[i] as usize])
-                    - f_load(&self.u[self.slot_upos[i] as usize]);
-                s += self.slot_coef[i] * c;
+    fn local_phase(&mut self, c: usize, rho: f64) {
+        // Borrow the fields apart so the hot loops see disjoint slices and
+        // the writes to `y` force no reload of the other fields.
+        let Workspace {
+            blocks,
+            term_start,
+            kind,
+            constant,
+            coef_norm_sq,
+            slot_var,
+            slot_coef,
+            y,
+            u,
+            z,
+            ..
+        } = self;
+        for t in blocks[c].terms.clone() {
+            let slots = term_start[t] as usize..term_start[t + 1] as usize;
+            let vars = &slot_var[slots.clone()];
+            let coefs = &slot_coef[slots.clone()];
+            let duals = &u[slots.clone()];
+            let mut s = constant[t];
+            for ((&v, &a), &du) in vars.iter().zip(coefs).zip(duals) {
+                s += a * (z[v as usize] - du);
             }
-            let norm = self.coef_norm_sq[t];
-            let factor = match self.kind[t] {
+            let norm = coef_norm_sq[t];
+            let factor = match kind[t] {
                 TermKind::Constraint { equality } => {
                     if (equality || s > 0.0) && norm > 0.0 {
                         s / norm
@@ -506,101 +412,99 @@ impl Workspace {
                     }
                 }
             };
-            for i in s0..s1 {
-                let c = f_load(&self.z[self.slot_var[i] as usize])
-                    - f_load(&self.u[self.slot_upos[i] as usize]);
-                f_store(&self.y[i], c - factor * self.slot_coef[i]);
+            let copies = vars.iter().zip(coefs).zip(duals);
+            for (y, ((&v, &a), &du)) in y[slots].iter_mut().zip(copies) {
+                *y = (z[v as usize] - du) - factor * a;
             }
         }
     }
 
-    /// Fused consensus + dual + residual pass over one shard: accumulate
-    /// `Σ(y + u)` per variable (slot order = ascending term order, the same
-    /// order the serial reduction used), write the averaged/clipped `z`,
-    /// update the shard's duals, and record the residual partials.
-    fn consensus_shard(&self, s: usize, scratch: &mut Vec<f64>, out: &ShardPartials) {
-        let shard = &self.shards[s];
-        let vlo = shard.vars.start;
-        scratch.clear();
-        scratch.resize(shard.vars.len(), 0.0);
-        for pos in shard.slots.clone() {
-            let slot = self.shard_slot[pos] as usize;
-            let v = self.sm_var[pos] as usize;
-            scratch[v - vlo] += f_load(&self.y[slot]) + f_load(&self.u[pos]);
+    /// Fused consensus + dual + residual pass over block `c`: accumulate
+    /// `Σ(y + u)` per variable in ascending slot order, write the
+    /// averaged/clipped `z`, update the block's duals, and return its
+    /// residual partials (also summed in ascending slot order).
+    fn consensus(&mut self, c: usize) -> Residuals {
+        let Workspace {
+            blocks,
+            slot_var,
+            counts,
+            y,
+            u,
+            z,
+            sums,
+            ..
+        } = self;
+        let Block { vars, slots, .. } = &blocks[c];
+        let slot_var = &slot_var[slots.clone()];
+        let y = &y[slots.clone()];
+        let u = &mut u[slots.clone()];
+        let vlo = vars.start;
+        sums.clear();
+        sums.resize(vars.len(), 0.0);
+        for ((&v, &yv), &uv) in slot_var.iter().zip(y).zip(u.iter()) {
+            sums[v as usize - vlo] += yv + uv;
         }
-        let mut dual_sq = 0.0f64;
-        for v in shard.vars.clone() {
-            let old = f_load(&self.z[v]);
-            let cnt = self.counts[v];
+        let mut r = Residuals::default();
+        let block_z = z[vars.clone()].iter_mut();
+        for ((z, &cnt), &sum) in block_z.zip(&counts[vars.clone()]).zip(sums.iter()) {
+            let old = *z;
             let new = if cnt == 0 {
                 old // variables in no term keep their value
             } else {
-                (scratch[v - vlo] / f64::from(cnt)).clamp(0.0, 1.0)
+                (sum / f64::from(cnt)).clamp(0.0, 1.0)
             };
             let d = new - old;
-            dual_sq += f64::from(cnt) * d * d;
-            f_store(&self.z[v], new);
+            r.dual_sq += f64::from(cnt) * d * d;
+            *z = new;
         }
-        let mut primal_sq = 0.0f64;
-        let mut y_norm_sq = 0.0f64;
-        let mut z_norm_sq = 0.0f64;
-        for pos in shard.slots.clone() {
-            let slot = self.shard_slot[pos] as usize;
-            let v = self.sm_var[pos] as usize;
-            let yv = f_load(&self.y[slot]);
-            let zv = f_load(&self.z[v]);
+        for ((&v, &yv), uv) in slot_var.iter().zip(y).zip(u.iter_mut()) {
+            let zv = z[v as usize];
             let diff = yv - zv;
-            f_store(&self.u[pos], f_load(&self.u[pos]) + diff);
-            primal_sq += diff * diff;
-            y_norm_sq += yv * yv;
-            z_norm_sq += zv * zv;
+            *uv += diff;
+            r.primal_sq += diff * diff;
+            r.y_norm_sq += yv * yv;
+            r.z_norm_sq += zv * zv;
         }
-        f_store(&out.primal_sq, primal_sq);
-        f_store(&out.y_norm_sq, y_norm_sq);
-        f_store(&out.z_norm_sq, z_norm_sq);
-        f_store(&out.dual_sq, dual_sq);
+        r
     }
 
-    /// Rescale a block's duals by `1/factor` (ρ adaptation keeps
+    /// Rescale block `c`'s duals by `1/factor` (ρ adaptation keeps
     /// λ = ρ·u fixed).
-    fn rescale_duals(&self, block: &Block, factor: f64) {
-        for a in &self.u[block.slots.clone()] {
-            f_store(a, f_load(a) / factor);
+    fn rescale_duals(&mut self, c: usize, factor: f64) {
+        for u in &mut self.u[self.blocks[c].slots.clone()] {
+            *u /= factor;
         }
     }
 
-    /// Restart repair of one block: zero its duals, scrub non-finite
+    /// Restart repair of block `c`: zero its duals, scrub non-finite
     /// consensus values back to `initial`, and re-seed its local copies
     /// from `z`. Keeps whatever finite progress the failed attempt made.
-    fn reset_for_restart(&self, block: &Block, initial: f64) {
-        for a in &self.u[block.slots.clone()] {
-            f_store(a, 0.0);
-        }
-        for a in &self.z[block.vars.clone()] {
-            if !f_load(a).is_finite() {
-                f_store(a, initial.clamp(0.0, 1.0));
+    fn reset_for_restart(&mut self, c: usize, initial: f64) {
+        let Block { vars, slots, .. } = self.blocks[c].clone();
+        self.u[slots.clone()].fill(0.0);
+        for z in &mut self.z[vars] {
+            if !z.is_finite() {
+                *z = initial.clamp(0.0, 1.0);
             }
         }
-        for slot in block.slots.clone() {
-            f_store(&self.y[slot], f_load(&self.z[self.slot_var[slot] as usize]));
+        for slot in slots {
+            self.y[slot] = self.z[self.slot_var[slot] as usize];
         }
     }
 
-    /// Cold reset of one block: consensus back to the initial value,
+    /// Cold reset of block `c`: consensus back to the initial value,
     /// duals to zero, local copies re-seeded — as if its solve had just
     /// begun.
-    fn cold_reset(&self, block: &Block, initial: f64) {
-        for a in &self.z[block.vars.clone()] {
-            f_store(a, initial.clamp(0.0, 1.0));
-        }
-        self.reset_for_restart(block, initial);
+    fn cold_reset(&mut self, c: usize, initial: f64) {
+        self.z[self.blocks[c].vars.clone()].fill(initial.clamp(0.0, 1.0));
+        self.reset_for_restart(c, initial);
     }
 
     /// Consensus values in the original variable order.
     fn values(&self) -> Vec<f64> {
         let mut values = vec![0.0; self.z.len()];
-        for (z, &v) in self.z.iter().zip(&self.var_orig) {
-            values[v as usize] = f_load(z);
+        for (&z, &v) in self.z.iter().zip(&self.var_orig) {
+            values[v as usize] = z;
         }
         values
     }
@@ -626,32 +530,6 @@ fn counting_order(keys: &[u32], buckets: usize) -> (Vec<u32>, Vec<usize>) {
     (order, starts)
 }
 
-/// Partition `0..weights.len()` into `parts` contiguous ranges with
-/// roughly equal total weight (trailing ranges may be empty).
-fn balanced_ranges(weights: &[usize], parts: usize) -> Vec<Range<usize>> {
-    let total: usize = weights.iter().sum();
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    let mut assigned = 0usize;
-    for (i, &w) in weights.iter().enumerate() {
-        acc += w;
-        let remaining_parts = parts - out.len();
-        let target = (total - assigned).div_ceil(remaining_parts);
-        if acc >= target && out.len() + 1 < parts {
-            out.push(start..i + 1);
-            start = i + 1;
-            assigned += acc;
-            acc = 0;
-        }
-    }
-    out.push(start..weights.len());
-    while out.len() < parts {
-        out.push(weights.len()..weights.len());
-    }
-    out
-}
-
 /// MAP solver over ground potentials and constraints.
 pub struct AdmmSolver<'a> {
     potentials: &'a [GroundPotential],
@@ -673,22 +551,29 @@ impl<'a> AdmmSolver<'a> {
         }
     }
 
-    /// Run ADMM to convergence (or the iteration cap).
+    /// Run ADMM to convergence (or the iteration cap). Every iteration
+    /// runs the local and then the consensus step of each block still
+    /// iterating, then settles them (module docs).
     pub fn solve(&self, config: &AdmmConfig) -> AdmmSolution {
         let _span = cms_obs::span("solve");
-        let ws = self.build_workspace(config);
-        let partials: Vec<ShardPartials> = (0..ws.shards.len())
-            .map(|_| ShardPartials::default())
-            .collect();
+        let mut ws = self.build_workspace(config);
         let mut runs: Vec<BlockRun> = ws.blocks.iter().map(|_| BlockRun::new(config)).collect();
-        let threads = config.threads.max(1);
-        let largest = ws.blocks.iter().map(|b| b.terms.len()).max();
-        let (local_time, consensus_time) = match largest {
-            Some(terms) if threads > 1 && terms >= config.parallel_threshold => {
-                self.run_parallel(config, &ws, &mut runs, &partials, threads)
+        let mut iterating = Iterating::new(config, runs.len());
+        let (mut local_time, mut consensus_time) = (Duration::ZERO, Duration::ZERO);
+        while !iterating.active.is_empty() {
+            let t0 = Instant::now();
+            for &c in &iterating.active {
+                runs[c].begin_iteration();
+                ws.local_phase(c, runs[c].rho);
             }
-            _ => self.run_serial(config, &ws, &mut runs, &partials),
-        };
+            let t1 = Instant::now();
+            for &c in &iterating.active {
+                runs[c].residuals = ws.consensus(c);
+            }
+            local_time += t1 - t0;
+            consensus_time += t1.elapsed();
+            iterating.settle(config, &mut ws, &mut runs);
+        }
 
         // Merge the blocks in block order (module docs).
         let health = runs
@@ -731,8 +616,7 @@ impl<'a> AdmmSolver<'a> {
 
     /// Build the flattened, block-major workspace: components found by
     /// union-find and grouped into blocks, SoA terms in block order,
-    /// shards cut at block boundaries, `z` and `y` at the initial value,
-    /// `u` at zero.
+    /// `z` and `y` at the initial value, `u` at zero.
     fn build_workspace(&self, config: &AdmmConfig) -> Workspace {
         let n = self.num_vars;
         let num_potentials = self.potentials.len();
@@ -880,80 +764,17 @@ impl<'a> AdmmSolver<'a> {
         for (v, &pos) in var_pos.iter().enumerate() {
             counts[pos as usize] = orig_counts[v];
         }
-
-        // Contiguous variable shards balanced by copy count, cut at every
-        // block boundary; boundaries are a pure function of the
-        // problem and `shard_slots`.
-        let target = config.shard_slots.max(1);
-        let mut shards: Vec<Shard> = Vec::new();
-        let mut var_shard = vec![0u32; n];
-        let mut blocks = Vec::with_capacity(num_blocks);
-        for c in 0..num_blocks {
-            let vars = var_bounds[c]..var_bounds[c + 1];
-            let first_shard = shards.len();
-            let mut start = vars.start;
-            let mut acc = 0usize;
-            for v in vars.clone() {
-                acc += counts[v] as usize;
-                var_shard[v] = shards.len() as u32;
-                if acc >= target {
-                    shards.push(Shard {
-                        vars: start..v + 1,
-                        slots: 0..0,
-                    });
-                    start = v + 1;
-                    acc = 0;
+        let blocks = (0..num_blocks)
+            .map(|c| {
+                let terms = term_bounds[c]..term_bounds[c + 1];
+                Block {
+                    live_terms: block_live_terms[c],
+                    slots: term_start[terms.start] as usize..term_start[terms.end] as usize,
+                    terms,
+                    vars: var_bounds[c]..var_bounds[c + 1],
                 }
-            }
-            if start < vars.end {
-                shards.push(Shard {
-                    vars: start..vars.end,
-                    slots: 0..0,
-                });
-            }
-            let terms = term_bounds[c]..term_bounds[c + 1];
-            blocks.push(Block {
-                live_terms: block_live_terms[c],
-                slots: term_start[terms.start] as usize..term_start[terms.end] as usize,
-                terms,
-                vars,
-                shards: first_shard..shards.len(),
-            });
-        }
-
-        // Shard-major slot order: bucket term-major slots by shard,
-        // preserving ascending term order inside each bucket.
-        let mut shard_len = vec![0usize; shards.len()];
-        for &v in &slot_var {
-            shard_len[var_shard[v as usize] as usize] += 1;
-        }
-        let mut cursor = Vec::with_capacity(shards.len());
-        let mut offset = 0usize;
-        for (shard, &len) in shards.iter_mut().zip(shard_len.iter()) {
-            shard.slots = offset..offset + len;
-            cursor.push(offset);
-            offset += len;
-        }
-        let mut slot_upos = vec![0u32; total_copies];
-        let mut shard_slot = vec![0u32; total_copies];
-        let mut sm_var = vec![0u32; total_copies];
-        for (slot, &v) in slot_var.iter().enumerate() {
-            let s = var_shard[v as usize] as usize;
-            let pos = cursor[s];
-            cursor[s] += 1;
-            slot_upos[slot] = pos as u32;
-            shard_slot[pos] = slot as u32;
-            sm_var[pos] = v;
-        }
-
-        let z: Vec<AtomicU64> = (0..n)
-            .map(|_| AtomicU64::new(config.initial_value.to_bits()))
+            })
             .collect();
-        let y: Vec<AtomicU64> = slot_var
-            .iter()
-            .map(|&v| AtomicU64::new(f_load(&z[v as usize]).to_bits()))
-            .collect();
-        let u: Vec<AtomicU64> = (0..total_copies).map(|_| AtomicU64::new(0)).collect();
 
         Workspace {
             var_orig,
@@ -964,208 +785,13 @@ impl<'a> AdmmSolver<'a> {
             coef_norm_sq,
             slot_var,
             slot_coef,
-            slot_upos,
-            shard_slot,
-            sm_var,
-            shards,
             counts,
-            y,
-            u,
-            z,
+            y: vec![config.initial_value; total_copies],
+            u: vec![0.0; total_copies],
+            z: vec![config.initial_value; n],
+            sums: Vec::new(),
         }
     }
-
-    /// Single-threaded iteration loop: every iteration runs the local and
-    /// consensus steps of each block still iterating (same per-shard
-    /// routines as the parallel path, so bit-identical to it), then
-    /// settles them. Returns the local and consensus wall times.
-    fn run_serial(
-        &self,
-        config: &AdmmConfig,
-        ws: &Workspace,
-        runs: &mut [BlockRun],
-        partials: &[ShardPartials],
-    ) -> (Duration, Duration) {
-        let mut iterating = Iterating::new(config, runs.len());
-        let mut scratch: Vec<f64> = Vec::new();
-        let (mut local_time, mut consensus_time) = (Duration::ZERO, Duration::ZERO);
-        while !iterating.active.is_empty() {
-            let t0 = Instant::now();
-            for &c in &iterating.active {
-                runs[c].begin_iteration();
-                ws.local_phase(ws.blocks[c].terms.clone(), runs[c].rho);
-            }
-            let t1 = Instant::now();
-            for &c in &iterating.active {
-                for s in ws.blocks[c].shards.clone() {
-                    ws.consensus_shard(s, &mut scratch, &partials[s]);
-                }
-            }
-            local_time += t1 - t0;
-            consensus_time += t1.elapsed();
-            iterating.settle(config, ws, runs, partials);
-        }
-        (local_time, consensus_time)
-    }
-
-    /// Barrier-phased parallel loop: workers are spawned once and step
-    /// through local/consensus phases over the blocks still
-    /// iterating; the coordinator settles every block (merging its
-    /// residual partials in shard order) between iterations. Each
-    /// block's terms and shards are split into `threads` balanced
-    /// pieces, and piece `j` of block `c` runs on worker
-    /// `(c + j) % threads`: a large block spreads over every worker,
-    /// small ones deal out round-robin.
-    fn run_parallel(
-        &self,
-        config: &AdmmConfig,
-        ws: &Workspace,
-        runs: &mut [BlockRun],
-        partials: &[ShardPartials],
-        threads: usize,
-    ) -> (Duration, Duration) {
-        // Balance term pieces by slot count and shard pieces by shard size.
-        let pieces: Vec<Pieces> = ws
-            .blocks
-            .iter()
-            .map(|block| {
-                let offset = |r: Range<usize>, by: usize| r.start + by..r.end + by;
-                let term_weights: Vec<usize> = block
-                    .terms
-                    .clone()
-                    .map(|t| (ws.term_start[t + 1] - ws.term_start[t]) as usize + 1)
-                    .collect();
-                let shard_weights: Vec<usize> = ws.shards[block.shards.clone()]
-                    .iter()
-                    .map(|s| s.slots.len() + 1)
-                    .collect();
-                Pieces {
-                    terms: balanced_ranges(&term_weights, threads)
-                        .into_iter()
-                        .map(|r| offset(r, block.terms.start))
-                        .collect(),
-                    shards: balanced_ranges(&shard_weights, threads)
-                        .into_iter()
-                        .map(|r| offset(r, block.shards.start))
-                        .collect(),
-                }
-            })
-            .collect();
-        // The (block, ρ) pairs of the current iteration: written by
-        // the coordinator while the workers wait at the iteration gate,
-        // read by the workers during the two phases.
-        let plan: RwLock<Vec<(usize, f64)>> = RwLock::new(Vec::new());
-
-        let barrier = Barrier::new(threads + 1);
-        let stop = AtomicBool::new(false);
-
-        // A panicking worker would strand everyone else on the (non-
-        // poisoning) barrier forever; instead workers catch the panic, keep
-        // honoring the barrier protocol as no-ops, and the coordinator
-        // aborts the solve and re-raises once the scope has joined.
-        let panicked = AtomicBool::new(false);
-
-        let mut iterating = Iterating::new(config, runs.len());
-        let (mut local_time, mut consensus_time) = (Duration::ZERO, Duration::ZERO);
-        // Workers parent their spans under the coordinator's open solve
-        // span explicitly — their threads have no ambient span stack.
-        let solve_span = cms_obs::current_span();
-        thread::scope(|scope| {
-            for w in 0..threads {
-                let (barrier, stop, plan, panicked, pieces) =
-                    (&barrier, &stop, &plan, &panicked, &pieces);
-                scope.spawn(move || {
-                    // Label the worker's trace track so the Perfetto
-                    // export lays it out as a named thread.
-                    cms_obs::set_thread_track(format!("admm-worker-{w}"));
-                    let _span = cms_obs::span_with_parent(format!("solve/worker-{w}"), solve_span);
-                    let mine = |c: usize, j: usize| (c + j) % threads == w;
-                    let mut scratch: Vec<f64> = Vec::new();
-                    loop {
-                        barrier.wait(); // A: iteration gate
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Only the coordinator writes the plan, and only
-                        // while every worker waits at A: no writer can
-                        // have panicked holding it.
-                        let plan = plan.read().expect("the ADMM plan lock is never poisoned");
-                        // The barrier waits sit OUTSIDE the catches so a
-                        // panicking worker still performs exactly the same
-                        // number of waits per iteration as everyone else.
-                        let local = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            for &(c, rho) in plan.iter() {
-                                for (j, terms) in pieces[c].terms.iter().enumerate() {
-                                    if mine(c, j) {
-                                        ws.local_phase(terms.clone(), rho);
-                                    }
-                                }
-                            }
-                        }));
-                        if local.is_err() {
-                            panicked.store(true, Ordering::Relaxed);
-                        }
-                        barrier.wait(); // B: local phase done
-                        let consensus =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                for &(c, _) in plan.iter() {
-                                    for (j, shards) in pieces[c].shards.iter().enumerate() {
-                                        if mine(c, j) {
-                                            for s in shards.clone() {
-                                                ws.consensus_shard(s, &mut scratch, &partials[s]);
-                                            }
-                                        }
-                                    }
-                                }
-                            }));
-                        if consensus.is_err() {
-                            panicked.store(true, Ordering::Relaxed);
-                        }
-                        drop(plan);
-                        barrier.wait(); // C: consensus phase done
-                    }
-                });
-            }
-            loop {
-                if iterating.active.is_empty() || panicked.load(Ordering::Relaxed) {
-                    stop.store(true, Ordering::Relaxed);
-                    barrier.wait(); // release workers into the stop check
-                    break;
-                }
-                {
-                    let mut plan = plan.write().expect("the ADMM plan lock is never poisoned");
-                    plan.clear();
-                    for &c in &iterating.active {
-                        runs[c].begin_iteration();
-                        plan.push((c, runs[c].rho));
-                    }
-                }
-                let t0 = Instant::now();
-                barrier.wait(); // A
-                barrier.wait(); // B: local phase complete
-                let t1 = Instant::now();
-                barrier.wait(); // C: consensus phase complete
-                local_time += t1 - t0;
-                consensus_time += t1.elapsed();
-                // Workers are parked at A; the coordinator owns everything.
-                if !panicked.load(Ordering::Relaxed) {
-                    iterating.settle(config, ws, runs, partials);
-                }
-            }
-        });
-        assert!(
-            !panicked.load(Ordering::Relaxed),
-            "ADMM worker panicked during a parallel solve"
-        );
-        (local_time, consensus_time)
-    }
-}
-
-/// One block's share of the parallel loop's work, split into
-/// `threads` balanced pieces (trailing pieces may be empty).
-struct Pieces {
-    terms: Vec<Range<usize>>,
-    shards: Vec<Range<usize>>,
 }
 
 /// The blocks still iterating, plus what their per-iteration checks
@@ -1204,17 +830,11 @@ impl Iterating {
     /// After an iteration: settle every active block in block
     /// order, drop the ones that finished, and record the largest
     /// combined residual among the blocks that iterated.
-    fn settle(
-        &mut self,
-        config: &AdmmConfig,
-        ws: &Workspace,
-        runs: &mut [BlockRun],
-        partials: &[ShardPartials],
-    ) {
+    fn settle(&mut self, config: &AdmmConfig, ws: &mut Workspace, runs: &mut [BlockRun]) {
         let timed_out = self.deadline.is_some_and(|d| Instant::now() >= d);
         let mut residual = 0.0f64;
         self.active
-            .retain(|&c| !runs[c].settle(config, ws, c, partials, timed_out, &mut residual));
+            .retain(|&c| !runs[c].settle(config, ws, c, timed_out, &mut residual));
         if let Some(hist) = self.residual_hist {
             hist.record(residual);
         }
@@ -1229,6 +849,8 @@ struct BlockRun {
     iterations: usize,
     restarts: usize,
     rho: f64,
+    /// Residual partials of the latest consensus pass.
+    residuals: Residuals,
     /// Best combined residual of the attempt (stall watchdog).
     best_combined: f64,
     /// Iterations since the combined residual last improved.
@@ -1244,6 +866,7 @@ impl BlockRun {
             iterations: 0,
             restarts: 0,
             rho: config.rho,
+            residuals: Residuals::default(),
             best_combined: f64::INFINITY,
             stalled_for: 0,
             health: SolveHealth::Capped,
@@ -1260,14 +883,12 @@ impl BlockRun {
     fn settle(
         &mut self,
         config: &AdmmConfig,
-        ws: &Workspace,
+        ws: &mut Workspace,
         c: usize,
-        partials: &[ShardPartials],
         timed_out: bool,
         residual: &mut f64,
     ) -> bool {
-        let block = &ws.blocks[c];
-        let Some(health) = self.check(config, ws, block, partials, timed_out, residual) else {
+        let Some(health) = self.check(config, ws, c, timed_out, residual) else {
             return false;
         };
         let restartable = matches!(
@@ -1282,11 +903,11 @@ impl BlockRun {
         if self.restarts == 1 {
             // First restart: keep the consensus iterate (scrubbed of any
             // non-finite entries), drop the duals, double ρ.
-            ws.reset_for_restart(block, config.initial_value);
+            ws.reset_for_restart(c, config.initial_value);
             self.rho = config.rho * 2.0;
         } else {
             // Later restarts: full cold reset at the original ρ.
-            ws.cold_reset(block, config.initial_value);
+            ws.cold_reset(c, config.initial_value);
             self.rho = config.rho;
         }
         self.attempt = 0;
@@ -1295,35 +916,28 @@ impl BlockRun {
         false
     }
 
-    /// Merge the block's per-shard residual partials (in shard
-    /// order — the fixed, thread-count-independent reduction order), test
-    /// convergence, run the watchdogs and residual-balancing ρ
-    /// adaptation. Returns the outcome when the attempt stops.
+    /// Test block `c`'s latest residual partials for convergence, run the
+    /// watchdogs and residual-balancing ρ adaptation. Returns the outcome
+    /// when the attempt stops.
     fn check(
         &mut self,
         config: &AdmmConfig,
-        ws: &Workspace,
-        block: &Block,
-        partials: &[ShardPartials],
+        ws: &mut Workspace,
+        c: usize,
         timed_out: bool,
         residual: &mut f64,
     ) -> Option<SolveHealth> {
-        let mut primal_sq = 0.0f64;
-        let mut y_norm_sq = 0.0f64;
-        let mut z_norm_sq = 0.0f64;
-        let mut dual_sq = 0.0f64;
-        for p in &partials[block.shards.clone()] {
-            primal_sq += f_load(&p.primal_sq);
-            y_norm_sq += f_load(&p.y_norm_sq);
-            z_norm_sq += f_load(&p.z_norm_sq);
-            dual_sq += f_load(&p.dual_sq);
-        }
+        let Residuals {
+            primal_sq,
+            y_norm_sq,
+            z_norm_sq,
+            dual_sq,
+        } = self.residuals;
         // Divergence watchdog: any non-finite value in y/z/u contaminates
         // these four aggregates within one iteration (every slot feeds
         // primal_sq/y_norm_sq, every variable z_norm_sq, every dual the
         // update that produced it), so four is_finite checks are a
-        // complete guard — and they run here, coordinator-only, over the
-        // merged partials, so detection is bit-identical across threads.
+        // complete guard.
         if !(primal_sq.is_finite()
             && y_norm_sq.is_finite()
             && z_norm_sq.is_finite()
@@ -1334,7 +948,7 @@ impl BlockRun {
         let combined = primal_sq.sqrt() + self.rho * dual_sq.sqrt();
         *residual = residual.max(combined);
 
-        let m = block.slots.len() as f64;
+        let m = ws.blocks[c].slots.len() as f64;
         let eps_pri =
             config.eps_abs * m.sqrt() + config.eps_rel * y_norm_sq.sqrt().max(z_norm_sq.sqrt());
         let eps_dual =
@@ -1381,7 +995,7 @@ impl BlockRun {
             };
             if factor != 1.0 {
                 self.rho *= factor;
-                ws.rescale_duals(block, factor);
+                ws.rescale_duals(c, factor);
             }
         }
         (self.attempt >= config.max_iterations).then_some(SolveHealth::Capped)
@@ -1411,22 +1025,12 @@ mod tests {
         }
     }
 
-    fn base_config() -> AdmmConfig {
-        // Pin the env-sensitive knobs so unit expectations are stable even
-        // when the suite runs under ADMM_THREADS / ADMM_PARALLEL_THRESHOLD.
-        AdmmConfig {
-            threads: 1,
-            parallel_threshold: 512,
-            ..AdmmConfig::default()
-        }
-    }
-
     fn solve(
         potentials: &[GroundPotential],
         constraints: &[GroundConstraint],
         n: usize,
     ) -> AdmmSolution {
-        AdmmSolver::new(potentials, constraints, n).solve(&base_config())
+        AdmmSolver::new(potentials, constraints, n).solve(&AdmmConfig::default())
     }
 
     #[test]
@@ -1469,7 +1073,7 @@ mod tests {
             kind: ConstraintKind::EqZero,
             origin: String::new(),
         }];
-        let sol = AdmmSolver::new(&p, &c, 1).solve(&base_config());
+        let sol = AdmmSolver::new(&p, &c, 1).solve(&AdmmConfig::default());
         assert!((sol.values[0] - 0.3).abs() < 1e-3, "got {}", sol.values[0]);
         assert!(sol.max_violation < 1e-3);
     }
@@ -1483,7 +1087,7 @@ mod tests {
             kind: ConstraintKind::LeqZero,
             origin: String::new(),
         }];
-        let sol = AdmmSolver::new(&p, &c, 1).solve(&base_config());
+        let sol = AdmmSolver::new(&p, &c, 1).solve(&AdmmConfig::default());
         assert!((sol.values[0] - 0.6).abs() < 1e-2, "got {}", sol.values[0]);
     }
 
@@ -1500,7 +1104,7 @@ mod tests {
             origin: String::new(),
         };
         let c = vec![imp(0, 1), imp(1, 2)];
-        let sol = AdmmSolver::new(&p, &c, 3).solve(&base_config());
+        let sol = AdmmSolver::new(&p, &c, 3).solve(&AdmmConfig::default());
         assert!(sol.values[0] > 0.95, "a = {}", sol.values[0]);
         assert!(sol.values[1] >= sol.values[0] - 1e-2);
         assert!(sol.values[2] >= sol.values[1] - 1e-2);
@@ -1564,59 +1168,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bit_identical_to_serial() {
-        let potentials = random_instance(50);
-        let solver = AdmmSolver::new(&potentials, &[], 50);
-        let cfg = AdmmConfig {
-            shard_slots: 64, // force several shards
-            parallel_threshold: 0,
-            ..base_config()
-        };
-        let serial = solver.solve(&AdmmConfig {
-            threads: 1,
-            ..cfg.clone()
-        });
-        for threads in [2usize, 4, 7] {
-            let parallel = solver.solve(&AdmmConfig {
-                threads,
-                ..cfg.clone()
-            });
-            assert_eq!(serial.iterations, parallel.iterations, "threads={threads}");
-            assert_eq!(
-                serial.objective.to_bits(),
-                parallel.objective.to_bits(),
-                "threads={threads}"
-            );
-            for (v, (a, b)) in serial.values.iter().zip(parallel.values.iter()).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads} var {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_size_only_changes_grouping_not_the_solution() {
-        // Different shard sizes may regroup the residual reduction (and so
-        // could, in principle, shift the stopping iteration by rounding),
-        // but the fixed point is the same optimum.
-        let potentials = random_instance(40);
-        let solver = AdmmSolver::new(&potentials, &[], 40);
-        let a = solver.solve(&AdmmConfig {
-            shard_slots: 7,
-            ..base_config()
-        });
-        let b = solver.solve(&AdmmConfig {
-            shard_slots: 4096,
-            ..base_config()
-        });
-        assert!(
-            (a.objective - b.objective).abs() < 1e-3,
-            "{} vs {}",
-            a.objective,
-            b.objective
-        );
-    }
-
-    #[test]
     fn adaptive_rho_reaches_same_optimum() {
         // A badly scaled problem: heavy weights vs default ρ.
         let p = vec![
@@ -1625,10 +1176,10 @@ mod tests {
             pot(&[(1, 1.0)], -0.4, 1.0),
         ];
         let solver = AdmmSolver::new(&p, &[], 2);
-        let plain = solver.solve(&base_config());
+        let plain = solver.solve(&AdmmConfig::default());
         let adaptive = solver.solve(&AdmmConfig {
             adaptive_rho: true,
-            ..base_config()
+            ..AdmmConfig::default()
         });
         assert!(adaptive.converged);
         assert!(
@@ -1658,7 +1209,7 @@ mod tests {
         let solver = AdmmSolver::new(&[], &c, 1);
         let sol = solver.solve(&AdmmConfig {
             max_iterations: 2_000,
-            ..base_config()
+            ..AdmmConfig::default()
         });
         assert!(
             sol.max_violation > 0.25,
@@ -1709,12 +1260,12 @@ mod tests {
     #[test]
     fn blocks_solve_exactly_as_alone_and_stop_on_their_own_residuals() {
         let (potentials, n) = two_chains();
-        let sol = AdmmSolver::new(&potentials, &[], n).solve(&base_config());
+        let sol = AdmmSolver::new(&potentials, &[], n).solve(&AdmmConfig::default());
         assert!(sol.converged);
         assert_eq!(sol.components, 2);
         let (long, short) = (chain(10, 1, 0, 1.0), chain(6, 1, 0, 7.0));
-        let long_sol = AdmmSolver::new(&long, &[], 10).solve(&base_config());
-        let short_sol = AdmmSolver::new(&short, &[], 6).solve(&base_config());
+        let long_sol = AdmmSolver::new(&long, &[], 10).solve(&AdmmConfig::default());
+        let short_sol = AdmmSolver::new(&short, &[], 6).solve(&AdmmConfig::default());
         for i in 0..10 {
             assert_eq!(sol.values[2 * i].to_bits(), long_sol.values[i].to_bits());
         }
@@ -1752,9 +1303,9 @@ mod tests {
             ),
             ..p.clone()
         }));
-        let sol = AdmmSolver::new(&potentials, &[], n + 2).solve(&base_config());
+        let sol = AdmmSolver::new(&potentials, &[], n + 2).solve(&AdmmConfig::default());
         assert_eq!(sol.components, 3);
-        let alone = AdmmSolver::new(&tiny, &[], 2).solve(&base_config());
+        let alone = AdmmSolver::new(&tiny, &[], 2).solve(&AdmmConfig::default());
         assert_eq!(alone.components, 1);
         for i in 0..2 {
             assert_eq!(sol.values[n + i].to_bits(), alone.values[i].to_bits());
@@ -1766,7 +1317,7 @@ mod tests {
         let (potentials, n) = two_chains();
         let solver = AdmmSolver::new(&potentials, &[], n);
         crate::fault::arm(crate::fault::Fault::SolverStall);
-        let stalled = solver.solve(&base_config());
+        let stalled = solver.solve(&AdmmConfig::default());
         assert_eq!(stalled.components, 2);
         assert_eq!(stalled.health, SolveHealth::Stalled { at: 1 });
         assert!(!stalled.converged);
@@ -1774,7 +1325,7 @@ mod tests {
         crate::fault::arm(crate::fault::Fault::SolverStall);
         let sol = solver.solve(&AdmmConfig {
             max_restarts: 2,
-            ..base_config()
+            ..AdmmConfig::default()
         });
         assert_eq!(sol.restarts, 1);
         assert!(sol.converged, "health: {:?}", sol.health);
@@ -1784,7 +1335,7 @@ mod tests {
     fn phase_times_are_recorded() {
         let potentials = random_instance(30);
         let solver = AdmmSolver::new(&potentials, &[], 30);
-        let sol = solver.solve(&base_config());
+        let sol = solver.solve(&AdmmConfig::default());
         assert!(sol.iterations > 0);
         assert!(sol.local_time > Duration::ZERO);
         assert!(sol.consensus_time > Duration::ZERO);
@@ -1813,7 +1364,7 @@ mod tests {
         let sol = solver.solve(&AdmmConfig {
             stall_window: 25,
             max_iterations: 10_000,
-            ..base_config()
+            ..AdmmConfig::default()
         });
         match sol.health {
             SolveHealth::Stalled { at } => {
@@ -1830,11 +1381,11 @@ mod tests {
     fn converging_solves_are_untouched_by_the_stall_window() {
         let potentials = random_instance(40);
         let solver = AdmmSolver::new(&potentials, &[], 40);
-        let plain = solver.solve(&base_config());
+        let plain = solver.solve(&AdmmConfig::default());
         let watched = solver.solve(&AdmmConfig {
             stall_window: 50,
             max_restarts: 2,
-            ..base_config()
+            ..AdmmConfig::default()
         });
         assert!(plain.converged && watched.converged);
         assert_eq!(plain.iterations, watched.iterations);
@@ -1850,7 +1401,7 @@ mod tests {
             time_budget: Some(Duration::ZERO),
             // Restarts must not resurrect a timed-out solve.
             max_restarts: 3,
-            ..base_config()
+            ..AdmmConfig::default()
         });
         assert_eq!(sol.health, SolveHealth::TimedOut);
         assert_eq!(sol.iterations, 1);
@@ -1865,39 +1416,10 @@ mod tests {
         // guard the solve would run to the cap and report garbage.
         let p = vec![pot(&[(0, f64::NAN)], 0.0, 1.0)];
         let solver = AdmmSolver::new(&p, &[], 1);
-        let sol = solver.solve(&base_config());
+        let sol = solver.solve(&AdmmConfig::default());
         assert_eq!(sol.health, SolveHealth::Diverged { at: 1 });
         assert_eq!(sol.iterations, 1);
         assert!(!sol.converged);
-    }
-
-    #[test]
-    fn stall_detection_is_bit_identical_across_thread_counts() {
-        let c = infeasible_constraints();
-        let solver = AdmmSolver::new(&[], &c, 1);
-        let cfg = AdmmConfig {
-            stall_window: 25,
-            max_iterations: 10_000,
-            shard_slots: 64,
-            parallel_threshold: 0,
-            ..base_config()
-        };
-        let serial = solver.solve(&AdmmConfig {
-            threads: 1,
-            ..cfg.clone()
-        });
-        assert!(matches!(serial.health, SolveHealth::Stalled { .. }));
-        for threads in [2usize, 4] {
-            let parallel = solver.solve(&AdmmConfig {
-                threads,
-                ..cfg.clone()
-            });
-            assert_eq!(serial.health, parallel.health, "threads={threads}");
-            assert_eq!(serial.iterations, parallel.iterations, "threads={threads}");
-            for (a, b) in serial.values.iter().zip(parallel.values.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
-            }
-        }
     }
 
     #[test]
@@ -1905,11 +1427,11 @@ mod tests {
         let potentials = random_instance(20);
         let solver = AdmmSolver::new(&potentials, &[], 20);
         crate::fault::arm(crate::fault::Fault::SolverStall);
-        let stalled = solver.solve(&base_config());
+        let stalled = solver.solve(&AdmmConfig::default());
         assert_eq!(stalled.health, SolveHealth::Stalled { at: 1 });
         assert_eq!(crate::fault::armed(), None);
         // The injection was consumed: the next solve is clean.
-        let clean = solver.solve(&base_config());
+        let clean = solver.solve(&AdmmConfig::default());
         assert!(clean.converged);
     }
 
@@ -1920,7 +1442,7 @@ mod tests {
         crate::fault::arm(crate::fault::Fault::SolverStall);
         let sol = solver.solve(&AdmmConfig {
             max_restarts: 2,
-            ..base_config()
+            ..AdmmConfig::default()
         });
         // One-shot injection: the restarted attempt runs clean.
         assert_eq!(sol.restarts, 1);

@@ -6,10 +6,7 @@
 //! documented recovery. Injection is:
 //!
 //! * **thread-local** — a fault armed on one thread never fires on
-//!   another, so the suite can run faults in parallel tests, and the
-//!   solver's coordinator-side hook behaves identically under
-//!   `ADMM_THREADS > 1` (the residual check always runs on the thread
-//!   that called `solve`);
+//!   another, so the suite can run faults in parallel tests;
 //! * **one-shot** — the first injection point whose kind matches consumes
 //!   the armed fault, so the recovery of the same operation runs clean;
 //! * **zero-cost when disarmed** — each hook is a thread-local `Cell`

@@ -20,7 +20,7 @@
 //!   them from scratch with the plan-compiled, index-probing grounder
 //!   ([`grounding`], [`plan`]), and [`Program::ground_naive`] with the
 //!   retained nested-loop reference.
-//! * [`AdmmSolver`] ([`admm`]) solves a ground program: sharded,
+//! * [`AdmmSolver`] ([`admm`]) solves a ground program: one-threaded,
 //!   deterministic consensus ADMM per independent component, with a
 //!   stall/divergence watchdog, restarts and a time budget
 //!   ([`SolveHealth`]); [`fault`] injects a solver stall to test them.

@@ -197,9 +197,8 @@ proptest! {
     /// variable ids and term order) gives every block-sized sub-program
     /// exactly the value bits it gets when solved alone, and the
     /// tiny ones exactly the bits of the program made of the tiny ones
-    /// alone (they share one block); the merged counters follow the merge
-    /// rules, and the split solve is bit-identical at every thread count
-    /// on the forced parallel path.
+    /// alone (they share one block), and the merged counters follow the
+    /// merge rules.
     #[test]
     fn independent_components_solve_exactly_as_separate_programs(
         blocks in prop::collection::vec(arb_block(), 2..4),
@@ -209,9 +208,6 @@ proptest! {
         let k = parts.len();
         let (potentials, constraints) = interleave_programs(&parts);
         let cfg = AdmmConfig {
-            threads: 1,
-            parallel_threshold: 0, // engage the parallel path at any size
-            shard_slots: 3,        // several shards per block
             max_iterations: 400,
             ..AdmmConfig::default()
         };
@@ -257,17 +253,6 @@ proptest! {
         prop_assert_eq!(whole.components, components);
         prop_assert_eq!(whole.term_updates, updates);
         prop_assert_eq!(whole.converged, converged);
-
-        for threads in [2usize, 4, 7] {
-            let par = solver.solve(&AdmmConfig { threads, ..cfg.clone() });
-            prop_assert_eq!(par.iterations, whole.iterations, "threads={}", threads);
-            prop_assert_eq!(par.health, whole.health, "threads={}", threads);
-            prop_assert_eq!(par.objective.to_bits(), whole.objective.to_bits(),
-                "threads={}", threads);
-            for (v, (a, b)) in whole.values.iter().zip(&par.values).enumerate() {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={} var={}", threads, v);
-            }
-        }
     }
 }
 
@@ -528,67 +513,6 @@ mod grounding_equivalence {
                 prop_assert_eq!(plan_stats.pruned, naive_stats.pruned);
                 prop_assert!((plan_stats.constant_loss - naive_stats.constant_loss).abs() < 1e-9);
                 prop_assert_eq!(canonical(&sink_plan, &reg_plan), canonical(&sink_naive, &reg_naive));
-            }
-        }
-    }
-
-    fn vocab_for_arities() -> cms_psl::Vocabulary {
-        let mut vocab = Vocabulary::new();
-        vocab.closed("p0", ARITIES[0]);
-        vocab.closed("p1", ARITIES[1]);
-        vocab.open("q2", ARITIES[2]);
-        vocab.open("q3", ARITIES[3]);
-        vocab
-    }
-
-    // -----------------------------------------------------------------
-    // Sharded parallel ADMM vs the serial solve.
-    // -----------------------------------------------------------------
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// The sharded, multi-threaded consensus step is **bit-identical**
-        /// to the single-threaded solve on random ground programs: same
-        /// iterates, same iteration count, same objective bits. The shard
-        /// structure depends only on the problem (here forced to be
-        /// several shards via a tiny `shard_slots`), never on `threads`.
-        #[test]
-        fn sharded_solve_is_bit_identical_across_thread_counts(
-            db in arb_db(),
-            rules in prop::collection::vec(arb_rule(), 1..4),
-        ) {
-            let mut program = cms_psl::Program::new(vocab_for_arities());
-            program.db = db;
-            for rule in rules {
-                program.add_rule(rule);
-            }
-            let ground = program.ground().unwrap();
-            let cfg = AdmmConfig {
-                threads: 1,
-                parallel_threshold: 0, // engage the parallel path at any size
-                shard_slots: 4,        // force several consensus shards
-                max_iterations: 500,
-                ..AdmmConfig::default()
-            };
-            let base = ground.solve(&cfg);
-            for threads in [2usize, 4, 7] {
-                let tcfg = AdmmConfig { threads, ..cfg.clone() };
-                let sol = ground.solve(&tcfg);
-                prop_assert_eq!(sol.admm.iterations, base.admm.iterations,
-                    "iteration count diverged at threads={}", threads);
-                prop_assert_eq!(sol.admm.objective.to_bits(), base.admm.objective.to_bits(),
-                    "objective bits diverged at threads={}", threads);
-                for (v, (a, b)) in base
-                    .admm
-                    .values
-                    .iter()
-                    .zip(sol.admm.values.iter())
-                    .enumerate()
-                {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(),
-                        "iterate bits diverged at threads={} var={}", threads, v);
-                }
             }
         }
     }
